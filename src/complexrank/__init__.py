@@ -29,7 +29,6 @@ from .coding import (
     build_codebook,
     coded_matrix_from_json_dict,
     coded_matrix_to_json_dict,
-    encode_column,
     encode_dataset,
     onehot_encode,
     root_of_unity,
@@ -70,7 +69,6 @@ __all__ = [
     "coded_matrix_to_json_dict",
     "derive_run_seed",
     "distance",
-    "encode_column",
     "encode_dataset",
     "inner_product",
     "kmeans",

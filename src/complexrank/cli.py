@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="repeated clustering across encodings")
     add_io(p_exp, input_required=False)
-    p_exp.add_argument("--mode", type=_mode, help=argparse.SUPPRESS)  # ignored; kept for symmetry
+    # parser-level defaults override the argument-level None of add_io
+    p_exp.set_defaults(input=cars_csv_path(), schema=cars_schema_path())
     p_exp.add_argument("--repeats", type=_positive_int, default=20)
     p_exp.add_argument("--seed", type=_seed, default=0, help="master seed")
     p_exp.add_argument(
@@ -181,21 +182,16 @@ def cmd_rank(args) -> int:
         schema = _load_schema(args.schema)
     else:
         # No schema given: everything but the target column is treated as
-        # free text so the file still parses.
+        # free text so the file still parses; an unknown column fails below.
         text = _read_text(args.input)
         header = [h.strip() for h in text.splitlines()[0].split(",")] if text else []
-        if args.column not in header:
-            raise DataError(f"unknown column: {args.column!r}")
         schema = AttributeSchema(
             tuple(
                 Column(name, Role.NUMERIC if name == args.column else Role.NOMINAL)
                 for name in header
             )
         )
-    dataset = _load_dataset(args, schema)
-    if schema.column(args.column).role is not Role.NUMERIC:
-        raise DataError(f"column {args.column!r} is not numeric")
-    values = [float(v) for v in dataset.column(args.column)]
+    values = _load_dataset(args, schema).numeric(args.column).tolist()
     ranked = ranks(values)
     json_text = json.dumps(ranked) + "\n"
     if args.json:
@@ -277,12 +273,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    input_path = args.input if args.input is not None else cars_csv_path()
-    schema_path = args.schema if args.schema is not None else cars_schema_path()
-    schema = _load_schema(schema_path)
-    dataset = parse_csv(
-        _read_text(input_path), schema, missing_as_category=args.missing_as_category
-    )
+    dataset = _load_dataset(args, _load_schema(args.schema))
     report = run_experiment(
         dataset,
         conditions=args.conditions,

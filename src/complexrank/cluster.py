@@ -85,9 +85,12 @@ def kmeans(
     from one pass to the next, which is a property of the update rule and
     is exposed for tests.
     """
-    if isinstance(data, CodedMatrix):
+    checked = isinstance(data, CodedMatrix)  # a CodedMatrix holds only finite cells
+    if checked:
         data = data.data
     work, was_complex = _working_view(data)
+    if not checked and not np.isfinite(work).all():
+        raise DataError("k-means needs finite data; the matrix has NaN or infinite cells")
     n = work.shape[0]
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")

@@ -15,7 +15,6 @@ the baseline integer and one-hot codes simply have a zero imaginary part.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Role
+from .dataset import DataError, Dataset, Role, factorize
 
 
 def base_rank(n: int) -> float:
@@ -52,19 +51,44 @@ def root_of_unity(j: int, k: int) -> complex:
 
 @dataclass(frozen=True)
 class ComplexRank:
-    """One coded nominal class: modulus from frequency, phase from ties."""
+    """One coded nominal class, fixed by (n, j, k): its frequency, its
+    position in its frequency tie group and the size of that group.
 
-    modulus: float
-    phase: float
+    The rank is also the codebook entry, so `rank` returns itself.
+    """
+
+    frequency: int
     group_index: int
     group_size: int
-    value: complex
 
+    @property
+    def rank(self) -> "ComplexRank":
+        return self
 
-@dataclass(frozen=True)
-class CodebookEntry:
-    frequency: int
-    rank: ComplexRank
+    @property
+    def modulus(self) -> float:
+        return base_rank(self.frequency)
+
+    @property
+    def phase(self) -> float:
+        k = self.group_size
+        return 0.0 if k == 1 else 2.0 * math.pi * self.group_index / k
+
+    @property
+    def value(self) -> complex:
+        return self.modulus * root_of_unity(self.group_index, self.group_size)
+
+    def to_json_dict(self) -> dict:
+        z = self.value
+        return {
+            "n": self.frequency,
+            "modulus": self.modulus,
+            "phase": self.phase,
+            "j": self.group_index,
+            "k": self.group_size,
+            "re": z.real,
+            "im": z.imag,
+        }
 
 
 @dataclass(frozen=True)
@@ -76,12 +100,15 @@ class NominalCodebook:
     """
 
     attribute: str
-    entries: Mapping[str, CodebookEntry]
-    total: int
+    entries: Mapping[str, ComplexRank]
+
+    @property
+    def total(self) -> int:
+        return sum(e.frequency for e in self.entries.values())
 
     def code(self, token: str) -> complex:
         try:
-            return self.entries[token].rank.value
+            return self.entries[token].value
         except KeyError:
             raise DataError(
                 f"token {token!r} is not in the codebook for {self.attribute!r}"
@@ -91,35 +118,48 @@ class NominalCodebook:
         return [self.code(v) for v in values]
 
     def to_json_dict(self) -> dict:
-        entries = {}
-        for token, e in self.entries.items():
-            r = e.rank
-            entries[token] = {
-                "n": e.frequency,
-                "modulus": r.modulus,
-                "phase": r.phase,
-                "j": r.group_index,
-                "k": r.group_size,
-                "re": r.value.real,
-                "im": r.value.imag,
-            }
+        entries = {token: e.to_json_dict() for token, e in self.entries.items()}
         return {"attribute": self.attribute, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NominalCodebook":
+        """Read a codebook back; every stored field must be the one (n, j, k) gives."""
+        attribute = str(doc["attribute"])
         entries = {}
-        total = 0
         for token, e in doc["entries"].items():
-            rank = ComplexRank(
-                modulus=float(e["modulus"]),
-                phase=float(e["phase"]),
-                group_index=int(e["j"]),
-                group_size=int(e["k"]),
-                value=complex(float(e["re"]), float(e["im"])),
-            )
-            entries[token] = CodebookEntry(int(e["n"]), rank)
-            total += int(e["n"])
-        return cls(str(doc["attribute"]), entries, total)
+            n, j, k = int(e["n"]), int(e["j"]), int(e["k"])
+            where = f"codebook {attribute!r}, token {token!r}"
+            if n < 1 or not 0 <= j < k:
+                raise DataError(f"{where}: (n, j, k) = ({n}, {j}, {k}) needs n >= 1 and 0 <= j < k")
+            rank = ComplexRank(n, j, k)
+            for key, want in rank.to_json_dict().items():
+                if e.get(key) != want:
+                    raise DataError(
+                        f"{where}: {key} is {e.get(key)!r}, but (n, j, k) = ({n}, {j}, {k}) "
+                        f"gives {want!r}"
+                    )
+            entries[token] = rank
+        return cls(attribute, entries)
+
+
+def _codebook(codes: np.ndarray, vocabulary: Sequence[str], attribute: str) -> NominalCodebook:
+    """Complex ranks of the tokens in a column of integer codes.
+
+    A stable sort by count keeps first-occurrence order inside each tie
+    group, and that order is the phase index j.
+    """
+    if not vocabulary:
+        raise ValueError("cannot build a codebook from an empty column")
+    counts = np.bincount(codes, minlength=len(vocabulary))
+    _, group, sizes = np.unique(counts, return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
+    j = np.empty_like(order)
+    j[order] = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[group[order]]
+    entries = {
+        t: ComplexRank(n, jj, kk)
+        for t, n, jj, kk in zip(vocabulary, counts.tolist(), j.tolist(), sizes[group].tolist())
+    }
+    return NominalCodebook(attribute, entries)
 
 
 def build_codebook(values: Sequence[str], attribute: str = "") -> NominalCodebook:
@@ -130,42 +170,12 @@ def build_codebook(values: Sequence[str], attribute: str = "") -> NominalCodeboo
     column. The input order therefore matters exactly as much as it does
     for the codes themselves and for nothing else.
     """
-    tokens = list(values)
-    if not tokens:
-        raise ValueError("cannot build a codebook from an empty column")
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    groups: dict[int, list[str]] = {}
-    for t, n in counts.items():
-        groups.setdefault(n, []).append(t)
-    placement = {}
-    for group in groups.values():
-        k = len(group)
-        for j, t in enumerate(group):
-            placement[t] = (j, k)
-    entries = {}
-    for t, n in counts.items():
-        j, k = placement[t]
-        modulus = base_rank(n)
-        phase = 0.0 if k == 1 else 2.0 * math.pi * j / k
-        value = modulus * root_of_unity(j, k)
-        entries[t] = CodebookEntry(n, ComplexRank(modulus, phase, j, k, value))
-    return NominalCodebook(attribute, entries, len(tokens))
-
-
-def encode_column(values: Iterable[str], codebook: NominalCodebook) -> list[complex]:
-    """Apply a codebook to a column; unknown tokens are an error."""
-    return codebook.encode(values)
-
-
-def _first_occurrence(values: Sequence[str]) -> list[str]:
-    return list(dict.fromkeys(values))
+    return _codebook(*factorize(values), attribute)
 
 
 def adhoc_codebook(values: Sequence[str]) -> dict[str, float]:
     """Baseline coding: consecutive integers 1, 2, ... by first occurrence."""
-    distinct = _first_occurrence(values)
+    distinct = dict.fromkeys(values)
     if not distinct:
         raise ValueError("cannot build an ad hoc codebook from an empty column")
     return {t: float(i + 1) for i, t in enumerate(distinct)}
@@ -178,14 +188,10 @@ def onehot_encode(values: Sequence[str]) -> np.ndarray:
     tokens in first-occurrence order. Any two different tokens end up at
     Euclidean distance sqrt(2).
     """
-    distinct = _first_occurrence(values)
-    if not distinct:
+    codes, vocabulary = factorize(values)
+    if not vocabulary:
         raise ValueError("cannot one-hot encode an empty column")
-    index = {t: i for i, t in enumerate(distinct)}
-    out = np.zeros((len(values), len(distinct)))
-    for r, t in enumerate(values):
-        out[r, index[t]] = 1.0
-    return out
+    return np.eye(len(vocabulary))[codes]
 
 
 class EncodeMode(Enum):
@@ -256,6 +262,13 @@ class CodedMatrix:
             )
         if self.decision is not None and len(self.decision) != data.shape[0]:
             raise ValueError("decision labels must match the number of rows")
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            r, c = bad[0]
+            raise DataError(
+                f"coded cell at row {r + 1}, column {c + 1} ({self.columns[c].name!r}) "
+                f"is not finite: {data[r, c]}"
+            )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -265,10 +278,6 @@ class CodedMatrix:
     @property
     def n_rows(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.data.shape[1]
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -291,12 +300,10 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
     """
     if mode is EncodeMode.COMPLEX:
         mode = EncodeMode.COMBINED
-    schema = dataset.schema
-    numeric_cols = [c for c in schema.feature_columns if c.role is Role.NUMERIC]
-    nominal_cols = [c for c in schema.feature_columns if c.role is Role.NOMINAL]
-    if mode is EncodeMode.NUMERIC and not numeric_cols:
+    roles = {c.role for c in dataset.schema.columns}
+    if mode is EncodeMode.NUMERIC and Role.NUMERIC not in roles:
         raise DataError("mode 'numeric' needs at least one numeric column")
-    if mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT) and not nominal_cols:
+    if mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT) and Role.NOMINAL not in roles:
         raise DataError(f"mode {mode.value!r} needs at least one nominal column")
 
     columns: list[CodedColumn] = []
@@ -304,44 +311,34 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
     codebooks: list[NominalCodebook] = []
     adhoc_codes: dict[str, dict[str, float]] = {}
 
-    for col in schema.columns:
+    for col in dataset.schema.columns:
         if col.role is Role.DECISION:
             continue
         if col.role is Role.NUMERIC:
-            if mode is EncodeMode.NOMINAL:
-                continue
-            cells = np.array([float(v) for v in dataset.column(col.name)])
-            columns.append(CodedColumn(col.name, ColumnSource.NUMERIC))
-            arrays.append(cells.astype(np.complex128))
+            if mode is not EncodeMode.NOMINAL:
+                columns.append(CodedColumn(col.name, ColumnSource.NUMERIC))
+                arrays.append(dataset.numeric(col.name))
             continue
-        # nominal feature
         if mode is EncodeMode.NUMERIC:
             continue
-        tokens = [str(v) for v in dataset.column(col.name)]
+        codes, vocabulary = dataset.codes(col.name)
         if mode in (EncodeMode.COMBINED, EncodeMode.NOMINAL):
-            cb = build_codebook(tokens, attribute=col.name)
+            cb = _codebook(codes, vocabulary, col.name)
             codebooks.append(cb)
             columns.append(CodedColumn(col.name, ColumnSource.COMPLEX_CODED))
-            arrays.append(np.array(cb.encode(tokens), dtype=np.complex128))
+            arrays.append(np.array(cb.encode(vocabulary))[codes])
         elif mode is EncodeMode.ADHOC:
-            codes = adhoc_codebook(tokens)
-            adhoc_codes[col.name] = codes
+            adhoc_codes[col.name] = adhoc_codebook(vocabulary)
             columns.append(CodedColumn(col.name, ColumnSource.ADHOC_CODED))
-            arrays.append(np.array([codes[t] for t in tokens], dtype=np.complex128))
-        elif mode is EncodeMode.ONEHOT:
-            block = onehot_encode(tokens)
-            for i, token in enumerate(_first_occurrence(tokens)):
-                columns.append(CodedColumn(f"{col.name}={token}", ColumnSource.ONE_HOT))
-                arrays.append(block[:, i].astype(np.complex128))
-        else:  # pragma: no cover - modes are exhausted above
-            raise ValueError(f"unhandled mode: {mode}")
+            arrays.append(codes + 1)
+        else:  # onehot
+            columns.extend(CodedColumn(f"{col.name}={t}", ColumnSource.ONE_HOT) for t in vocabulary)
+            arrays.append(np.eye(len(vocabulary))[codes])
 
-    data = np.column_stack(arrays)
-    labels = dataset.decision_labels()
     return CodedMatrix(
         columns=tuple(columns),
-        data=data,
-        decision=tuple(labels) if labels is not None else None,
+        data=np.column_stack(arrays),
+        decision=dataset.decision_labels(),
         codebooks=tuple(codebooks),
         adhoc_codes=adhoc_codes,
     )
@@ -405,7 +402,3 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         adhoc_codes=adhoc_codes,
         scaling=scaling,
     )
-
-
-def codebook_to_json(codebook: NominalCodebook) -> str:
-    return json.dumps(codebook.to_json_dict(), indent=2) + "\n"

@@ -10,12 +10,13 @@ trimming, and every error names the 1-based row and column it came from.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 Cell = float | str
 
@@ -112,93 +113,124 @@ class AttributeSchema:
                 return i
         raise DataError(f"unknown column: {name!r}")
 
-    def column(self, name: str) -> Column:
-        return self.columns[self.index(name)]
+
+def factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple]:
+    """Integer codes of values, and the distinct values in first-occurrence order."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), dtype=np.intp)
+    codes.flags.writeable = False
+    return codes, tuple(index)
 
 
-def _check_cell(value: Cell, role: Role, row: int, col: int, name: str) -> Cell:
-    where = f"row {row}, column {col} ({name!r})"
-    if role is Role.NUMERIC:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"{where}: expected a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise DataError(f"{where}: number must be finite")
-        return value
-    if not isinstance(value, str) or not value:
-        raise DataError(f"{where}: expected a non-empty token, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """An immutable table whose cells have been validated against a schema."""
+    """A table whose cells have been validated once against a schema.
 
-    schema: AttributeSchema
-    rows: tuple[tuple[Cell, ...], ...]
+    Cells are stored by column as read-only (values, vocabulary) pairs. A
+    numeric column is a float64 array with vocabulary None; a nominal or
+    decision column is an array of integer codes into its vocabulary, the
+    distinct tokens in first-occurrence order.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise DataError("dataset has no rows")
-        width = len(self.schema.columns)
-        checked = []
-        for r, row in enumerate(self.rows, start=1):
+    def __init__(self, schema: AttributeSchema, rows: Sequence[Sequence[Cell]]) -> None:
+        width = len(schema.columns)
+        for r, row in enumerate(rows, start=1):
             if len(row) != width:
                 raise DataError(f"row {r}: expected {width} cells, found {len(row)}")
-            cells = tuple(
-                _check_cell(v, c.role, r, j, c.name)
-                for j, (v, c) in enumerate(zip(row, self.schema.columns), start=1)
-            )
-            checked.append(cells)
-        object.__setattr__(self, "rows", tuple(checked))
+        self._store(schema, list(zip(*rows)))
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _from_columns(cls, schema: AttributeSchema, columns: list[list[Cell]]) -> "Dataset":
+        dataset = cls.__new__(cls)
+        dataset._store(schema, columns)
+        return dataset
+
+    def _store(self, schema: AttributeSchema, columns: Sequence[Sequence[Cell]]) -> None:
+        """Check each column in one pass and keep it in array form."""
+        if not columns or not columns[0]:
+            raise DataError("dataset has no rows")
+        stored: list = []
+        for j, (col, cells) in enumerate(zip(schema.columns, columns), start=1):
+            where = f"column {j} ({col.name!r})"
+            if col.role is Role.NUMERIC:
+                if not set(map(type, cells)) <= {float, int}:
+                    for r, v in enumerate(cells, start=1):
+                        if isinstance(v, bool) or not isinstance(v, (int, float)):
+                            raise DataError(f"row {r}, {where}: expected a number, got {v!r}")
+                values = np.asarray(cells, dtype=np.float64)
+                bad = np.flatnonzero(~np.isfinite(values))
+                if bad.size:
+                    raise DataError(f"row {bad[0] + 1}, {where}: number must be finite")
+                values.flags.writeable = False
+                stored.append((values, None))
+                continue
+            codes, vocabulary = factorize(cells)
+            for c, token in enumerate(vocabulary):
+                if not isinstance(token, str) or not token:
+                    r = int(np.argmax(codes == c)) + 1
+                    raise DataError(f"row {r}, {where}: expected a non-empty token, got {token!r}")
+            stored.append((codes, vocabulary))
+        self.schema = schema
+        self.n_rows = len(columns[0])
+        self._columns = tuple(stored)
+
+    def numeric(self, name: str) -> np.ndarray:
+        """The float64 array of a numeric column."""
+        values, vocabulary = self._columns[self.schema.index(name)]
+        if vocabulary is not None:
+            raise DataError(f"column {name!r} is not numeric")
+        return values
+
+    def codes(self, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The integer codes of a nominal or decision column, and its vocabulary."""
+        return self._columns[self.schema.index(name)]
 
     def column(self, name: str) -> list[Cell]:
         """All cells of one column, in row order."""
-        i = self.schema.index(name)
-        return [row[i] for row in self.rows]
+        values, vocabulary = self._columns[self.schema.index(name)]
+        if vocabulary is None:
+            return values.tolist()
+        return list(map(vocabulary.__getitem__, values.tolist()))
+
+    @property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(zip(*(self.column(n) for n in self.schema.names)))
 
     def decision_labels(self) -> list[str] | None:
         col = self.schema.decision_column
-        if col is None:
-            return None
-        return [str(v) for v in self.column(col.name)]
+        return None if col is None else self.column(col.name)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.schema == other.schema and self.rows == other.rows
 
     def to_csv(self) -> str:
         """Serialize back to the strict CSV dialect parse_csv() accepts."""
-        lines = [",".join(self.schema.names)]
-        for r, row in enumerate(self.rows, start=1):
-            parts = []
-            for j, (v, c) in enumerate(zip(row, self.schema.columns), start=1):
-                if c.role is Role.NUMERIC:
-                    parts.append(_format_number(float(v), r, j, c.name))
-                else:
-                    s = str(v)
-                    if "," in s or "\n" in s or "\r" in s:
-                        raise DataError(
-                            f"row {r}, column {j} ({c.name!r}): token {s!r} "
-                            f"cannot be written without quoting"
-                        )
-                    parts.append(s)
-            lines.append(",".join(parts))
+        columns = []
+        for j, (col, (values, vocabulary)) in enumerate(zip(self.schema.columns, self._columns), 1):
+            if vocabulary is None:
+                columns.append([_format_number(v) for v in values.tolist()])
+                continue
+            for c, token in enumerate(vocabulary):
+                if "," in token or "\n" in token or "\r" in token:
+                    raise DataError(
+                        f"row {int(np.argmax(values == c)) + 1}, column {j} ({col.name!r}): "
+                        f"token {token!r} cannot be written without quoting"
+                    )
+            columns.append(self.column(col.name))
+        lines = [",".join(self.schema.names), *map(",".join, zip(*columns))]
         return "\n".join(lines) + "\n"
 
 
-def _format_number(v: float, row: int, col: int, name: str) -> str:
+def _format_number(v: float) -> str:
     s = repr(v)
     if _NUMBER.fullmatch(s):
         return s
     # repr fell back to exponent form; spell the value out. The decimal
-    # expansion of a binary double is finite, so this stays exact.
+    # expansion of a finite binary double has at most 1074 fraction digits,
+    # so this stays exact and always matches _NUMBER.
     s = f"{v:.1074f}".rstrip("0")
-    if s.endswith("."):
-        s += "0"
-    if not _NUMBER.fullmatch(s):
-        raise DataError(f"row {row}, column {col} ({name!r}): cannot serialize {v!r}")
-    return s
+    return s + "0" if s.endswith(".") else s
 
 
 def parse_csv(
@@ -212,9 +244,10 @@ def parse_csv(
     The first line must repeat the schema's column names in order. Cells
     are trimmed of surrounding whitespace; numeric cells must be plain
     integer or decimal literals. Empty nominal cells are rejected unless
-    missing_as_category supplies a replacement token.
+    missing_as_category supplies a replacement token. Lines after the last
+    non-blank line are not rows; a blank line before it is one.
     """
-    if text.startswith("﻿"):
+    if text.startswith("\ufeff"):
         text = text[1:]
     lines = text.splitlines()
     if not lines:
@@ -223,33 +256,37 @@ def parse_csv(
     expected = list(schema.names)
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, found {header}")
-    rows: list[tuple[Cell, ...]] = []
-    width = len(schema.columns)
-    for r, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise DataError(
-                f"row {r}: expected {width} cells, found {len(parts)} "
-                f"(embedded commas are not supported)"
-            )
-        cells: list[Cell] = []
-        for j, (raw, col) in enumerate(zip(parts, schema.columns), start=1):
-            cell = raw.strip()
-            where = f"row {r}, column {j} ({col.name!r})"
-            if col.role is Role.NUMERIC:
-                if not _NUMBER.fullmatch(cell):
-                    raise DataError(f"{where}: {cell!r} is not a plain decimal number")
-                cells.append(float(cell))
-            else:
-                if not cell:
-                    if missing_as_category is None:
-                        raise DataError(f"{where}: empty value")
-                    cell = missing_as_category
-                cells.append(cell)
-        rows.append(tuple(cells))
-    if not rows:
+    while len(lines) > 1 and not lines[-1].strip():
+        lines.pop()
+    if len(lines) == 1:
         raise DataError("no data rows")
-    return Dataset(schema, tuple(rows))
+    width = len(schema.columns)
+    rows = [line.split(",") for line in lines[1:]]
+    del lines  # the split cells now hold the text; dropping the lines keeps the peak low
+    for r, parts in enumerate(rows, start=1):
+        if len(parts) != width:
+            found = (
+                "the line is blank" if len(parts) == 1 and not parts[0].strip()
+                else f"found {len(parts)} (embedded commas are not supported)"
+            )
+            raise DataError(f"row {r}: expected {width} cells, {found}")
+    raw_columns = list(zip(*rows))
+    del rows
+    columns = []
+    for j, col in enumerate(schema.columns, start=1):
+        cells = [c.strip() for c in raw_columns.pop(0)]
+        where = f"column {j} ({col.name!r})"
+        if col.role is Role.NUMERIC:
+            if not all(map(_NUMBER.fullmatch, cells)):
+                r, cell = next((r, c) for r, c in enumerate(cells, 1) if not _NUMBER.fullmatch(c))
+                raise DataError(f"row {r}, {where}: {cell!r} is not a plain decimal number")
+            cells = list(map(float, cells))
+        elif "" in cells:
+            if missing_as_category is None:
+                raise DataError(f"row {cells.index('') + 1}, {where}: empty value")
+            cells = [c or missing_as_category for c in cells]
+        columns.append(cells)
+    return Dataset._from_columns(schema, columns)
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

@@ -78,3 +78,62 @@ def naive_kmeans_inertia(points, k: int) -> float:
             cost += float((d.real**2 + d.imag**2).sum())
         best = min(best, cost)
     return best
+
+
+def _root(j: int, k: int) -> complex:
+    """exp(2*pi*i*j/k), exact on the four axis-aligned directions."""
+    if (4 * j) % k == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[(4 * j) // k]
+    angle = 2.0 * math.pi * j / k
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def codebook_oracle(tokens) -> dict:
+    """Complex ranks token by token: a dict count, then tie groups in
+    first-occurrence order. Maps each token to (n, j, k, value)."""
+    counts: dict = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    groups: dict = {}
+    for t, n in counts.items():
+        groups.setdefault(n, []).append(t)
+    out = {}
+    for t, n in counts.items():
+        j, k = groups[n].index(t), len(groups[n])
+        out[t] = (n, j, k, (n + 1) / 2 * _root(j, k))
+    return out
+
+
+def encode_oracle(dataset, mode: str):
+    """Encode a dataset cell by cell under a mode name.
+
+    Returns (data, column names, codebooks, ad hoc codes) where each
+    codebook is (attribute, codebook_oracle(...)).
+    """
+    names, cols, codebooks, adhoc = [], [], [], {}
+    for c in dataset.schema.columns:
+        role, cells = c.role.value, dataset.column(c.name)
+        if role == "decision":
+            continue
+        if role == "numeric":
+            if mode != "nominal":
+                names.append(c.name)
+                cols.append([complex(v) for v in cells])
+        elif mode == "numeric":
+            continue
+        elif mode in ("combined", "complex", "nominal"):
+            cb = codebook_oracle(cells)
+            codebooks.append((c.name, cb))
+            names.append(c.name)
+            cols.append([cb[t][3] for t in cells])
+        elif mode == "adhoc":
+            codes = {t: float(i + 1) for i, t in enumerate(dict.fromkeys(cells))}
+            adhoc[c.name] = codes
+            names.append(c.name)
+            cols.append([complex(codes[t]) for t in cells])
+        elif mode == "onehot":
+            for token in dict.fromkeys(cells):
+                names.append(f"{c.name}={token}")
+                cols.append([complex(float(t == token)) for t in cells])
+    data = np.array(cols, dtype=np.complex128).T.reshape(dataset.n_rows, len(cols))
+    return data, names, codebooks, adhoc

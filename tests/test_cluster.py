@@ -101,6 +101,13 @@ class TestKmeansBasics:
         )
         assert result.inertia == pytest.approx(total, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_raw_array_rejected(self, bad):
+        data = random_points(3, 10, 2)
+        data[4, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            kmeans(data, 2, seed=0)
+
     def test_inertia_never_increases(self):
         for seed in range(10):
             kmeans(random_points(seed, 30, 2), 4, seed=seed, verify_monotone=True)

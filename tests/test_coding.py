@@ -13,12 +13,15 @@ from complexrank import (
     build_codebook,
     coded_matrix_from_json_dict,
     coded_matrix_to_json_dict,
-    encode_column,
     encode_dataset,
     onehot_encode,
     root_of_unity,
+    standardize,
 )
-from complexrank.coding import ColumnSource
+from complexrank.coding import CodedMatrix, CodedColumn, ColumnSource, NominalCodebook
+from complexrank.dataset import AttributeSchema, Column, Dataset, Role
+
+from .oracles import encode_oracle
 
 token_lists = st.lists(
     st.text(alphabet="abcdef", min_size=1, max_size=2), min_size=1, max_size=40
@@ -159,14 +162,14 @@ class TestEncodeColumn:
         values = ["Petrol", "Diesel", "Petrol", "Petrol", "Petrol", "Diesel", "LPG",
                   "Petrol", "LPG", "Diesel"]
         cb = build_codebook(values, attribute="Fuel")
-        assert encode_column(values, cb) == [
+        assert cb.encode(values) == [
             3, 2, 3, 3, 3, 2, 1.5, 3, 1.5, 2,
         ]
 
     def test_unseen_token_rejected(self):
         cb = build_codebook(["a", "b"])
         with pytest.raises(DataError, match="'c'"):
-            encode_column(["a", "c"], cb)
+            cb.encode(["a", "c"])
 
 
 class TestBaselines:
@@ -314,3 +317,114 @@ class TestSerialization:
         sources = {c.name: c.source for c in m.columns}
         assert sources["Door"] is ColumnSource.NUMERIC
         assert sources["Color"] is ColumnSource.COMPLEX_CODED
+
+    def test_tampered_codebook_entry_is_rejected(self, cars):
+        doc = build_codebook(cars.column("Color"), attribute="Color").to_json_dict()
+        doc["entries"]["Black"].update(modulus=99, re=7)
+        with pytest.raises(DataError, match=r"'Color', token 'Black': modulus is 99"):
+            NominalCodebook.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["modulus", "phase", "re", "im"])
+    def test_each_derived_field_is_checked_on_read(self, cars, key):
+        doc = build_codebook(cars.column("Color"), attribute="Color").to_json_dict()
+        doc["entries"]["Black"][key] += 1e-9
+        with pytest.raises(DataError, match=rf"token 'Black': {key} is"):
+            NominalCodebook.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("n", 0), ("j", 2), ("j", -1), ("k", 0)])
+    def test_out_of_range_n_j_k_rejected_on_read(self, cars, key, value):
+        doc = build_codebook(cars.column("Color"), attribute="Color").to_json_dict()
+        doc["entries"]["Black"][key] = value
+        with pytest.raises(DataError, match=r"token 'Black'.*needs n >= 1 and 0 <= j < k"):
+            NominalCodebook.from_json_dict(doc)
+
+    def test_non_finite_cell_rejected_on_read(self, cars):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.COMBINED))
+        doc["rows"][3][1]["re"] = math.nan
+        doc = json.loads(json.dumps(doc))  # json writes and reads NaN
+        with pytest.raises(DataError, match=r"row 4, column 2 \('Power'\) is not finite"):
+            coded_matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_coded_matrix_rejects_non_finite_cells(self, bad):
+        data = np.ones((3, 2), dtype=complex)
+        data[2, 0] = bad
+        with pytest.raises(DataError, match="not finite"):
+            CodedMatrix((CodedColumn("a", ColumnSource.NUMERIC),
+                         CodedColumn("b", ColumnSource.NUMERIC)), data)
+
+
+@st.composite
+def tied_datasets(draw):
+    """Small tables whose nominal columns carry a forced frequency tie group.
+
+    Each nominal column holds `ties` tokens seen `reps` times each, plus a
+    few extra draws that may join, break or add to the ties, shuffled.
+    """
+    ties, reps, extra = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    n_rows = ties * reps + extra
+    roles = draw(st.lists(st.sampled_from([Role.NUMERIC, Role.NOMINAL]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        roles.append(Role.DECISION)
+    columns = []
+    for role in roles:
+        if role is Role.NUMERIC:
+            ints = draw(st.lists(st.integers(-4, 4), min_size=n_rows, max_size=n_rows))
+            columns.append([i / 2 for i in ints])
+            continue
+        cells = [f"g{i}" for i in range(ties) for _ in range(reps)]
+        cells += draw(st.lists(st.sampled_from(["a", "b", "c", "g0"]), min_size=extra, max_size=extra))
+        columns.append(draw(st.permutations(cells)))
+    schema = AttributeSchema(tuple(Column(f"c{i}", r) for i, r in enumerate(roles)))
+    return Dataset(schema, tuple(zip(*columns)))
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestArrayPathAgainstOracle:
+    @given(tied_datasets())
+    def test_encode_matches_token_by_token_oracle(self, ds):
+        roles = {c.role for c in ds.schema.columns}
+        for mode in EncodeMode:
+            data, names, codebooks, adhoc = encode_oracle(ds, mode.value)
+            needs = {"numeric": Role.NUMERIC, "combined": None, "complex": None}.get(
+                mode.value, Role.NOMINAL)
+            if needs is not None and needs not in roles:
+                with pytest.raises(DataError, match=needs.value):
+                    encode_dataset(ds, mode)
+                continue
+            m = encode_dataset(ds, mode)
+            assert m.column_names == tuple(names)
+            assert m.data.tobytes() == data.tobytes()
+            assert m.decision == (None if ds.decision_labels() is None
+                                  else tuple(ds.decision_labels()))
+            assert [cb.attribute for cb in m.codebooks] == [a for a, _ in codebooks]
+            for cb, (_, want) in zip(m.codebooks, codebooks):
+                got = {t: (e.frequency, e.rank.group_index, e.rank.group_size, bits(e.rank.value))
+                       for t, e in cb.entries.items()}
+                assert list(got.items()) == [
+                    (t, (n, j, k, bits(z))) for t, (n, j, k, z) in want.items()
+                ]
+            assert repr(m.adhoc_codes) == repr(adhoc)
+
+    @given(tied_datasets())
+    def test_json_round_trip_is_bit_identical(self, ds):
+        for mode in EncodeMode:
+            try:
+                m = encode_dataset(ds, mode)
+            except DataError:
+                continue
+            matrices = [m]
+            try:
+                matrices.append(standardize(m))
+            except DataError:  # fewer than 2 rows or a constant column
+                pass
+            for a in matrices:
+                b = coded_matrix_from_json_dict(json.loads(json.dumps(coded_matrix_to_json_dict(a))))
+                assert b.columns == a.columns
+                assert b.data.tobytes() == a.data.tobytes()
+                assert b.decision == a.decision
+                assert repr((b.codebooks, b.adhoc_codes, b.scaling)) == repr(
+                    (a.codebooks, a.adhoc_codes, a.scaling))

@@ -100,6 +100,23 @@ class TestParseCsv:
         )
         assert ds.column("y") == ["unknown", "a"]
 
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "\n \n\t\n", "\r\n\r\n"])
+    def test_trailing_blank_lines_are_not_rows(self, tail):
+        ds = parse_csv("x,y\n1,a" + tail, make_schema(("x", "numeric"), ("y", "nominal")))
+        assert ds.rows == ((1.0, "a"),)
+
+    def test_trailing_blank_line_is_not_a_missing_category_row(self):
+        ds = parse_csv("y\na\n\n", make_schema(("y", "nominal")), missing_as_category="unknown")
+        assert ds.rows == (("a",),)
+
+    def test_inner_blank_line_is_a_row(self):
+        ds = parse_csv("y\na\n\nb\n", make_schema(("y", "nominal")), missing_as_category="unknown")
+        assert ds.column("y") == ["a", "unknown", "b"]
+
+    def test_inner_blank_line_error_says_blank(self):
+        with pytest.raises(DataError, match=r"row 2: expected 2 cells, the line is blank$"):
+            parse_csv("x,y\n1,a\n\n2,b\n", make_schema(("x", "numeric"), ("y", "nominal")))
+
     def test_no_data_rows(self):
         with pytest.raises(DataError, match="no data rows"):
             parse_csv("x\n", make_schema(("x", "numeric")))
