@@ -9,8 +9,8 @@ dataset and buckets purity accuracy into a compact summary table.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +24,10 @@ RNG_NOTE = "numpy.random.default_rng (PCG64)"
 SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
 
 _M64 = (1 << 64) - 1
+
+# Bytes of broadcast scratch per block of rows in the k-means distance
+# step; small enough to stay in cache, large enough to amortize the calls.
+_BLOCK_BYTES = 2 << 20
 
 
 def splitmix64(x: int) -> int:
@@ -111,20 +115,25 @@ def kmeans(
             raise ValueError("initial_centroids must be k rows matching the data layout")
         centroids = init.copy()
 
+    # squared distances are filled block by block with the same per-row
+    # arithmetic as one full n x k x d broadcast, so results match it bit
+    # for bit while the scratch stays within _BLOCK_BYTES
+    d2 = np.empty((n, k))
+    block = max(1, _BLOCK_BYTES // max(1, 8 * k * work.shape[1]))
     assignments: np.ndarray | None = None
     previous_inertia = np.inf
     iterations = 0
     for _ in range(max_iterations):
         iterations += 1
-        # squared Euclidean distance to every centroid, ties -> lowest index
-        diff = work[:, None, :] - centroids[None, :, :]
-        d2 = np.einsum("nkd,nkd->nk", diff, diff)
-        new_assignments = np.argmin(d2, axis=1)
+        for s in range(0, n, block):
+            diff = work[s : s + block, None, :] - centroids[None, :, :]
+            np.einsum("nkd,nkd->nk", diff, diff, out=d2[s : s + block])
+        new_assignments = np.argmin(d2, axis=1)  # ties -> lowest index
 
         point_d2 = d2[np.arange(n), new_assignments]
-        for c in range(k):
-            if np.any(new_assignments == c):
-                continue
+        # a restart only takes a point from a cluster of size > 1, so it
+        # never empties a cluster and the empty set found here stays exact
+        for c in np.flatnonzero(np.bincount(new_assignments, minlength=k) == 0):
             # restart the empty cluster on the farthest point whose own
             # cluster can spare it
             sizes = np.bincount(new_assignments, minlength=k)
@@ -170,9 +179,11 @@ def purity_accuracy(
 
     The default method maximizes the matched fraction over injective
     cluster-to-label mappings, so two clusters never claim the same
-    label. method="majority" instead lets every cluster vote its own
-    majority label, which can exceed the injective score when clusters
-    collapse onto one class.
+    label; it is solved exactly as an assignment problem on the
+    label x cluster count table, for any number of clusters.
+    method="majority" instead lets every cluster vote its own majority
+    label, which can exceed the injective score when clusters collapse
+    onto one class.
     """
     assign = list(assignments)
     labs = list(labels)
@@ -196,13 +207,51 @@ def purity_accuracy(
         raise ValueError(
             f"{len(distinct)} labels cannot be matched injectively to {len(clusters)} clusters"
         )
-    if len(clusters) > 10:
-        raise ValueError("injective matching is brute force; use at most 10 clusters")
-    best = 0
-    for chosen in itertools.permutations(clusters, len(distinct)):
-        matched = sum(counts.get((c, l), 0) for c, l in zip(chosen, distinct))
-        best = max(best, matched)
-    return best / len(assign)
+    table = [[counts.get((c, l), 0) for c in clusters] for l in distinct]
+    return _max_matching(table) / len(assign)
+
+
+def _max_matching(weights: list[list[int]]) -> int:
+    """Largest total weight of a matching that gives every row its own column.
+
+    The Hungarian method with shortest augmenting paths (Kuhn 1955;
+    Jonker and Volgenant 1987) in O(rows^2 * columns), for rows <= columns.
+    It runs on Python ints, so the optimum is exact, not rounded.
+    """
+    n_cols = len(weights[0])
+    # potentials u (rows) and v (columns) of the dual, 1-based; column 0
+    # is a sentinel and owner[j] is the row matched to column j (0: none)
+    u = [0] * (len(weights) + 1)
+    v = [0] * (n_cols + 1)
+    owner = [0] * (n_cols + 1)
+    way = [0] * (n_cols + 1)
+    for i in range(1, len(weights) + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [math.inf] * (n_cols + 1)
+        used = [False] * (n_cols + 1)
+        while owner[j0]:
+            used[j0] = True
+            row, ui = weights[owner[j0] - 1], u[owner[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, n_cols + 1):
+                if not used[j]:
+                    reduced = -row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n_cols + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the alternating path back to the sentinel
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    return sum(weights[i - 1][j - 1] for j, i in enumerate(owner) if j and i)
 
 
 ACCURACY_EDGES = (0.9, 0.8, 0.7, 0.6, 0.5)

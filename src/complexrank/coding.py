@@ -139,6 +139,19 @@ class NominalCodebook:
                         f"gives {want!r}"
                     )
             entries[token] = rank
+        groups: dict[int, list[str]] = {}
+        for token, rank in entries.items():
+            groups.setdefault(rank.frequency, []).append(token)
+        for n, tokens in groups.items():
+            # the tokens seen n times are one tie group: k of them, each
+            # with that k, and with the phase indices 0..k-1
+            k = len(tokens)
+            got = [(entries[t].group_index, entries[t].group_size) for t in tokens]
+            if sorted(got) != [(j, k) for j in range(k)]:
+                raise DataError(
+                    f"codebook {attribute!r}, n = {n}: tokens {', '.join(map(repr, tokens))} "
+                    f"carry (j, k) = {got}, but a tie group of {k} needs k = {k} and j = 0..{k - 1}"
+                )
         return cls(attribute, entries)
 
 

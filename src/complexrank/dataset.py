@@ -212,7 +212,9 @@ class Dataset:
                 columns.append([_format_number(v) for v in values.tolist()])
                 continue
             for c, token in enumerate(vocabulary):
-                if "," in token or "\n" in token or "\r" in token:
+                # parse_csv splits lines with str.splitlines, which breaks
+                # on more than \n and \r (\x0c, \x85, \u2028, ...)
+                if "," in token or token.splitlines() != [token]:
                     raise DataError(
                         f"row {int(np.argmax(values == c)) + 1}, column {j} ({col.name!r}): "
                         f"token {token!r} cannot be written without quoting"

@@ -137,3 +137,72 @@ def encode_oracle(dataset, mode: str):
                 cols.append([complex(float(t == token)) for t in cells])
     data = np.array(cols, dtype=np.complex128).T.reshape(dataset.n_rows, len(cols))
     return data, names, codebooks, adhoc
+
+
+def brute_force_purity(assignments, labels) -> float:
+    """Injective purity by trying every assignment of labels to clusters.
+
+    Exponential in the number of clusters: only for small instances.
+    """
+    clusters = sorted(set(assignments))
+    distinct = list(dict.fromkeys(labels))
+    counts: dict = {}
+    for a, l in zip(assignments, labels):
+        counts[(a, l)] = counts.get((a, l), 0) + 1
+    best = 0
+    for chosen in itertools.permutations(clusters, len(distinct)):
+        best = max(best, sum(counts.get((c, l), 0) for c, l in zip(chosen, distinct)))
+    return best / len(assignments)
+
+
+def broadcast_kmeans(data, k: int, seed: int = 0, max_iterations: int = 100, initial_centroids=None):
+    """Lloyd k-means with every distance from one full n x k x d broadcast.
+
+    Same rules as the library: k distinct random rows from
+    default_rng(seed) or the given centroids as the start, complex data
+    clustered through its interleaved real view, ties to the lowest
+    cluster index, each empty cluster (in ascending order, found by its
+    own scan) restarted on the farthest point whose cluster can spare
+    it, and a stop when assignments repeat. Returns (assignments,
+    centroids, inertia, iterations), centroids in the input's layout.
+    """
+    a = np.asarray(data)
+    was_complex = np.iscomplexobj(a)
+    if was_complex:
+        work = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    else:
+        work = np.ascontiguousarray(a, dtype=np.float64)
+    n = work.shape[0]
+    if initial_centroids is None:
+        rows = np.random.default_rng(seed).choice(n, size=k, replace=False)
+        centroids = work[rows].copy()
+    else:
+        init = np.asarray(initial_centroids)
+        centroids = (init.astype(np.complex128).view(np.float64) if was_complex
+                     else init.astype(np.float64)).copy()
+    assignments = None
+    iterations = 0
+    for _ in range(max_iterations):
+        iterations += 1
+        diff = work[:, None, :] - centroids[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        new = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), new]
+        for c in range(k):
+            if np.any(new == c):
+                continue
+            sizes = np.bincount(new, minlength=k)
+            p = int(np.argmax(np.where(sizes[new] > 1, point_d2, -np.inf)))
+            new[p] = c
+            centroids[c] = work[p]
+            point_d2[p] = 0.0
+        if assignments is not None and np.array_equal(new, assignments):
+            break
+        assignments = new
+        for c in range(k):
+            centroids[c] = work[assignments == c].mean(axis=0)
+    diff = work - centroids[assignments]
+    inertia = float(np.einsum("nd,nd->", diff, diff))
+    if was_complex:
+        centroids = centroids.view(np.complex128)
+    return assignments, centroids, inertia, iterations

@@ -19,9 +19,15 @@ from complexrank import (
     splitmix64,
     standardize,
 )
+from complexrank import cluster
 from complexrank.cluster import BUCKET_KEYS, DEFAULT_CONDITIONS
 from complexrank.dataset import AttributeSchema, Dataset
-from .oracles import exhaustive_kmeans_inertia, naive_kmeans_inertia
+from .oracles import (
+    broadcast_kmeans,
+    brute_force_purity,
+    exhaustive_kmeans_inertia,
+    naive_kmeans_inertia,
+)
 
 
 def random_points(seed, n, d, complex_valued=True):
@@ -173,6 +179,59 @@ class TestKmeansAgainstExhaustiveOracle:
         assert best >= want - 1e-9 * max(1.0, want)
 
 
+def assert_matches_broadcast_oracle(data, k, **kwargs):
+    got = kmeans(data, k, **kwargs)
+    assignments, centroids, inertia, iterations = broadcast_kmeans(data, k, **kwargs)
+    assert np.array_equal(got.assignments, assignments)
+    assert got.centroids.dtype == centroids.dtype
+    assert got.centroids.tobytes() == centroids.tobytes()
+    assert got.inertia == inertia
+    assert got.iterations == iterations
+
+
+class TestBlockedDistances:
+    """Row-blocked distances give the full broadcast's results bit for bit."""
+
+    @pytest.fixture
+    def four_row_blocks(self, monkeypatch):
+        # k=3 centroids of d=4 real coordinates: 96 bytes of scratch per row
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 4 * 8 * 3 * 4)
+
+    @pytest.mark.parametrize("n", [12, 13, 3])  # a multiple, one more, under one block
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_rows_across_block_edges(self, four_row_blocks, n, seed):
+        data = random_points(seed, n, 4, complex_valued=False)
+        assert_matches_broadcast_oracle(data, 3, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_input(self, four_row_blocks, seed):
+        data = random_points(seed, 17, 2)  # d=4 in the interleaved real view
+        assert_matches_broadcast_oracle(data, 3, seed=seed)
+
+    def test_single_cluster(self, four_row_blocks):
+        assert_matches_broadcast_oracle(random_points(5, 21, 4, complex_valued=False), 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_rows_tie_exactly(self, four_row_blocks, seed):
+        base = np.random.default_rng(seed).integers(-2, 3, size=(5, 4)).astype(float)
+        data = np.concatenate([base, base[::-1], base, base[:2]])
+        assert_matches_broadcast_oracle(data, 3, seed=seed)
+
+    def test_several_clusters_empty_in_one_step(self, four_row_blocks):
+        data = random_points(8, 14, 4, complex_valued=False)
+        init = np.array([[100.0] * 4, data[0], [-100.0] * 4])
+        assert_matches_broadcast_oracle(data, 3, initial_centroids=init)
+
+    @pytest.mark.parametrize("mode", [EncodeMode.COMBINED, EncodeMode.NOMINAL, EncodeMode.ONEHOT])
+    def test_cars_matrices_with_one_row_blocks(self, monkeypatch, cars, mode):
+        # standardized cars has duplicate rows and near ties; a GEMM-form
+        # distance flips the argmin for some of these seeds (nominal mode)
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+        m = standardize(encode_dataset(cars, mode))
+        for seed in range(40):
+            assert_matches_broadcast_oracle(m.data, 3, seed=seed)
+
+
 class TestComplexRealBridge:
     @pytest.mark.parametrize("seed", range(5))
     def test_complex_and_interleaved_real_runs_are_identical(self, cars, seed):
@@ -229,8 +288,8 @@ class TestPurity:
 
         rng = np.random.default_rng(5)
         for _ in range(30):
-            n = int(rng.integers(6, 30))
-            n_clusters = int(rng.integers(2, 6))
+            n = int(rng.integers(6, 300))
+            n_clusters = int(rng.integers(2, 31))
             n_labels = int(rng.integers(2, n_clusters + 1))
             assignments = rng.integers(0, n_clusters, size=n).tolist()
             labels = [f"L{v}" for v in rng.integers(0, n_labels, size=n)]
@@ -243,7 +302,24 @@ class TestPurity:
                 table[clusters.index(a), distinct.index(l)] += 1
             rows, cols = linear_sum_assignment(table, maximize=True)
             want = table[rows, cols].sum() / n
-            assert purity_accuracy(assignments, labels) == pytest.approx(want)
+            assert purity_accuracy(assignments, labels) == want
+
+    def test_twelve_clusters_match_twelve_labels(self):
+        assignments = [c for c in range(12) for _ in range(3)]
+        labels = [f"L{(c * 5) % 12}" for c in assignments]
+        assert purity_accuracy(assignments, labels) == 1.0
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from("ABCDEF")), min_size=1, max_size=40
+        )
+    )
+    def test_equals_the_brute_force_oracle(self, pairs):
+        # few points over up to 7 x 6 cells: tied contingency counts are common
+        assignments, labels = (list(t) for t in zip(*pairs))
+        if len(set(labels)) > len(set(assignments)):
+            return
+        assert purity_accuracy(assignments, labels) == brute_force_purity(assignments, labels)
 
     @given(
         st.lists(st.integers(0, 2), min_size=6, max_size=30),

@@ -18,7 +18,13 @@ from complexrank import (
     root_of_unity,
     standardize,
 )
-from complexrank.coding import CodedMatrix, CodedColumn, ColumnSource, NominalCodebook
+from complexrank.coding import (
+    CodedColumn,
+    CodedMatrix,
+    ColumnSource,
+    ComplexRank,
+    NominalCodebook,
+)
 from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
 from .oracles import encode_oracle
@@ -336,6 +342,24 @@ class TestSerialization:
         doc = build_codebook(cars.column("Color"), attribute="Color").to_json_dict()
         doc["entries"]["Black"][key] = value
         with pytest.raises(DataError, match=r"token 'Black'.*needs n >= 1 and 0 <= j < k"):
+            NominalCodebook.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "entries, tokens",
+        [
+            ({"a": (3, 0, 1), "b": (3, 0, 1)}, "'a', 'b'"),  # both code to 2+0j
+            ({"a": (3, 0, 2), "x": (1, 0, 1)}, "'a'"),  # a group of 2 with 1 entry
+            ({"a": (3, 0, 1), "b": (3, 1, 2)}, "'a', 'b'"),  # sizes disagree
+            ({"a": (3, 1, 2), "b": (3, 1, 2)}, "'a', 'b'"),  # j repeats, 0 missing
+            ({"a": (3, 0, 2), "b": (3, 1, 2), "c": (3, 1, 3)}, "'a', 'b', 'c'"),
+        ],
+    )
+    def test_inconsistent_tie_group_rejected_on_read(self, entries, tokens):
+        doc = {
+            "attribute": "Color",
+            "entries": {t: ComplexRank(*njk).to_json_dict() for t, njk in entries.items()},
+        }
+        with pytest.raises(DataError, match=rf"codebook 'Color', n = 3: tokens {tokens} "):
             NominalCodebook.from_json_dict(doc)
 
     def test_non_finite_cell_rejected_on_read(self, cars):

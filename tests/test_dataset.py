@@ -158,7 +158,20 @@ class TestCarsFixture:
         assert again == cars
 
 
+@pytest.mark.parametrize("brk", [",", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
+def test_to_csv_refuses_tokens_parse_csv_would_split(brk):
+    schema = make_schema(("x", "numeric"), ("c", "nominal"))
+    ds = Dataset(schema, ((1.0, "ok"), (2.0, f"a{brk}b")))
+    with pytest.raises(DataError, match=r"row 2, column 2 \('c'\): token .* without quoting"):
+        ds.to_csv()
+
+
 simple_token = st.text(alphabet="abcdefXYZ_.-", min_size=1, max_size=6)
+# every line boundary str.splitlines() knows, plus the cell separator
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+csv_token = st.one_of(
+    simple_token, st.text(alphabet="abXY" + LINE_BREAKS + ",", min_size=1, max_size=4)
+)
 
 
 @st.composite
@@ -177,11 +190,20 @@ def datasets(draw):
             if role is Role.NUMERIC:
                 row.append(draw(st.integers(-10**9, 10**9)) / 1000)
             else:
-                row.append(draw(simple_token))
+                row.append(draw(csv_token))
         rows.append(tuple(row))
     return Dataset(schema, tuple(rows))
 
 
 @given(datasets())
 def test_csv_round_trip_is_stable(ds):
-    assert parse_csv(ds.to_csv(), ds.schema) == ds
+    try:
+        text = ds.to_csv()
+    except DataError as exc:
+        assert "cannot be written without quoting" in str(exc)
+        assert any(
+            "," in t or t.splitlines() != [t] for c in ds.schema.columns for t in ds.column(c.name)
+            if isinstance(t, str)
+        )
+        return
+    assert parse_csv(text, ds.schema) == ds
