@@ -178,12 +178,11 @@ def format_complex(z: complex) -> str:
 
 
 def cmd_rank(args) -> int:
-    if args.schema is not None:
-        schema = _load_schema(args.schema)
-    else:
+    schema = _load_schema(args.schema) if args.schema is not None else None
+    text = _read_text(args.input)
+    if schema is None:
         # No schema given: everything but the target column is treated as
         # free text so the file still parses; an unknown column fails below.
-        text = _read_text(args.input)
         header = [h.strip() for h in text.splitlines()[0].split(",")] if text else []
         schema = AttributeSchema(
             tuple(
@@ -191,7 +190,8 @@ def cmd_rank(args) -> int:
                 for name in header
             )
         )
-    values = _load_dataset(args, schema).numeric(args.column).tolist()
+    dataset = parse_csv(text, schema, missing_as_category=args.missing_as_category)
+    values = dataset.numeric(args.column).tolist()
     ranked = ranks(values)
     json_text = json.dumps(ranked) + "\n"
     if args.json:

@@ -74,7 +74,6 @@ def kmeans(
     max_iterations: int = 100,
     *,
     initial_centroids: np.ndarray | None = None,
-    verify_monotone: bool = False,
 ) -> ClusteringResult:
     """Lloyd's algorithm with k distinct random rows as starting centroids.
 
@@ -85,9 +84,7 @@ def kmeans(
     max_iterations passes. Everything is deterministic in (data, k, seed).
 
     initial_centroids bypasses the random start, e.g. to resume from a
-    previous result. verify_monotone asserts that inertia never increases
-    from one pass to the next, which is a property of the update rule and
-    is exposed for tests.
+    previous result.
     """
     checked = isinstance(data, CodedMatrix)  # a CodedMatrix holds only finite cells
     if checked:
@@ -121,7 +118,6 @@ def kmeans(
     d2 = np.empty((n, k))
     block = max(1, _BLOCK_BYTES // max(1, 8 * k * work.shape[1]))
     assignments: np.ndarray | None = None
-    previous_inertia = np.inf
     iterations = 0
     for _ in range(max_iterations):
         iterations += 1
@@ -144,13 +140,6 @@ def kmeans(
             centroids[c] = work[p]
             point_d2[p] = 0.0
 
-        if verify_monotone:
-            inertia_now = float(point_d2.sum())
-            assert inertia_now <= previous_inertia * (1 + 1e-12) + 1e-12, (
-                f"inertia increased: {previous_inertia} -> {inertia_now}"
-            )
-            previous_inertia = inertia_now
-
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
@@ -169,21 +158,13 @@ def kmeans(
     return ClusteringResult(assignments, centroids, inertia, iterations, seed)
 
 
-def purity_accuracy(
-    assignments: Sequence[int],
-    labels: Sequence[str],
-    *,
-    method: str = "injective",
-) -> float:
+def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:
     """Fraction of points whose cluster maps to their true label.
 
-    The default method maximizes the matched fraction over injective
-    cluster-to-label mappings, so two clusters never claim the same
-    label; it is solved exactly as an assignment problem on the
-    label x cluster count table, for any number of clusters.
-    method="majority" instead lets every cluster vote its own majority
-    label, which can exceed the injective score when clusters collapse
-    onto one class.
+    The mapping is the injective cluster-to-label one that matches the
+    most points, so two clusters never claim the same label; it is solved
+    exactly as an assignment problem on the label x cluster count table,
+    for any number of clusters.
     """
     assign = list(assignments)
     labs = list(labels)
@@ -196,13 +177,6 @@ def purity_accuracy(
     counts: dict[tuple[int, str], int] = {}
     for a, l in zip(assign, labs):
         counts[(a, l)] = counts.get((a, l), 0) + 1
-    if method == "majority":
-        best = sum(
-            max(counts.get((c, l), 0) for l in distinct) for c in clusters
-        )
-        return best / len(assign)
-    if method != "injective":
-        raise ValueError(f"unknown method {method!r}, expected 'injective' or 'majority'")
     if len(distinct) > len(clusters):
         raise ValueError(
             f"{len(distinct)} labels cannot be matched injectively to {len(clusters)} clusters"
@@ -375,7 +349,6 @@ def run_experiment(
     conditions: Sequence[EncodeMode] = DEFAULT_CONDITIONS,
     repeats: int = 20,
     master_seed: int = 0,
-    max_iterations: int = 100,
 ) -> ExperimentReport:
     """Cluster one dataset repeatedly under several encodings and score purity.
 
@@ -398,7 +371,7 @@ def run_experiment(
         runs = []
         for ri in range(repeats):
             seed = derive_run_seed(master_seed, ci, ri)
-            result = kmeans(matrix, k, seed=seed, max_iterations=max_iterations)
+            result = kmeans(matrix, k, seed=seed)
             accuracy = purity_accuracy(result.assignments.tolist(), labels)
             runs.append(
                 RunRecord(

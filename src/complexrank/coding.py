@@ -245,8 +245,7 @@ class ColumnScaling:
 
     name: str
     mean: complex
-    sigma_re: float
-    sigma_im: float
+    sigma: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +373,7 @@ def coded_matrix_to_json_dict(matrix: CodedMatrix) -> dict:
             {
                 "name": s.name,
                 "mean": {"re": s.mean.real, "im": s.mean.imag},
-                "sigma": {"re": s.sigma_re, "im": s.sigma_im},
+                "sigma": {"re": s.sigma, "im": s.sigma},
             }
             for s in matrix.scaling
         ]
@@ -398,15 +397,14 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
     }
     scaling = None
     if doc.get("scaling") is not None:
-        scaling = tuple(
-            ColumnScaling(
-                name=str(s["name"]),
-                mean=complex(s["mean"]["re"], s["mean"]["im"]),
-                sigma_re=float(s["sigma"]["re"]),
-                sigma_im=float(s["sigma"]["im"]),
-            )
-            for s in doc["scaling"]
-        )
+        scaling = []
+        for s in doc["scaling"]:
+            # one sigma scales both channels; the JSON keeps the re/im pair
+            name, re, im = str(s["name"]), float(s["sigma"]["re"]), float(s["sigma"]["im"])
+            if re != im:
+                raise DataError(f"scaling of column {name!r}: sigma re {re!r} and im {im!r} differ")
+            scaling.append(ColumnScaling(name, complex(s["mean"]["re"], s["mean"]["im"]), re))
+        scaling = tuple(scaling)
     return CodedMatrix(
         columns=columns,
         data=data,

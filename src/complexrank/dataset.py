@@ -50,7 +50,7 @@ class AttributeSchema:
         object.__setattr__(self, "columns", tuple(self.columns))
         names = [c.name for c in self.columns]
         for n in names:
-            if not n or n.strip() != n:
+            if not _fits_cell(n):
                 raise DataError(f"bad column name: {n!r}")
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
@@ -212,9 +212,7 @@ class Dataset:
                 columns.append([_format_number(v) for v in values.tolist()])
                 continue
             for c, token in enumerate(vocabulary):
-                # parse_csv splits lines with str.splitlines, which breaks
-                # on more than \n and \r (\x0c, \x85, \u2028, ...)
-                if "," in token or token.splitlines() != [token]:
+                if not _fits_cell(token):
                     raise DataError(
                         f"row {int(np.argmax(values == c)) + 1}, column {j} ({col.name!r}): "
                         f"token {token!r} cannot be written without quoting"
@@ -222,6 +220,15 @@ class Dataset:
             columns.append(self.column(col.name))
         lines = [",".join(self.schema.names), *map(",".join, zip(*columns))]
         return "\n".join(lines) + "\n"
+
+
+def _fits_cell(text: str) -> bool:
+    """Whether parse_csv reads text back unchanged as one unquoted cell.
+
+    It strips every cell and splits lines with str.splitlines, which
+    breaks on more than \\n and \\r (\\x0c, \\x85, \\u2028, ...).
+    """
+    return text.strip() == text and "," not in text and text.splitlines() == [text]
 
 
 def _format_number(v: float) -> str:

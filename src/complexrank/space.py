@@ -61,59 +61,38 @@ def real_expansion(x: np.ndarray | ComplexVector) -> np.ndarray:
     return a.view(np.float64)
 
 
-def standardize(
-    matrix: CodedMatrix,
-    *,
-    ddof: int = 0,
-    per_channel: bool = False,
-) -> CodedMatrix:
+def standardize(matrix: CodedMatrix) -> CodedMatrix:
     """Center and scale every coded column to zero mean and unit dispersion.
 
     Each column is shifted by its complex mean and divided by the real
-    scatter sqrt(sum(|x - mean|^2) / (N - ddof)). The default ddof of 0
-    uses the population denominator. With per_channel=True the real and
-    imaginary channels are scaled independently instead; a channel with
-    no dispersion is left centered at zero rather than divided.
+    population scatter sqrt(sum(|x - mean|^2) / N), one sigma for both
+    channels.
 
-    Columns whose values are all identical have no scale at all and are
+    Columns whose values are all identical have no scale at all, and
+    columns whose scatter overflows float64 have no finite one; both are
     rejected by name.
     """
     data = matrix.data
     n = data.shape[0]
     if n < 2:
         raise DataError("standardization needs at least 2 rows")
-    if not 0 <= ddof < n:
-        raise ValueError(f"ddof must be in [0, {n}), got {ddof}")
     out = np.empty_like(data)
     scalings = []
-    for c, col_info in enumerate(matrix.columns):
-        col = data[:, c]
-        mean = complex(col.mean())
-        dev = col - mean
-        if per_channel:
-            channels = []
-            sigmas = []
-            for ch in (dev.real, dev.imag):
-                sq = float(np.sum(ch**2)) / (n - ddof)
-                if sq == 0.0:
-                    sigmas.append(0.0)
-                    channels.append(ch)
-                else:
-                    s = math.sqrt(sq)
-                    sigmas.append(s)
-                    channels.append(ch / s)
-            if sigmas[0] == 0.0 and sigmas[1] == 0.0:
-                raise DataError(f"column {col_info.name!r} has zero dispersion")
-            out[:, c] = channels[0] + 1j * channels[1]
-            scalings.append(ColumnScaling(col_info.name, mean, sigmas[0], sigmas[1]))
-        else:
-            sigma = math.sqrt(float(np.sum(dev.real**2 + dev.imag**2)) / (n - ddof))
+    # an overflow only ever yields a non-finite sigma, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, col_info in enumerate(matrix.columns):
+            col = data[:, c]
+            mean = complex(col.mean())
+            dev = col - mean
+            sigma = math.sqrt(float(np.sum(dev.real**2 + dev.imag**2)) / n)
             # sigma underflows to 0 not only for constant columns but also
             # when the spread is subnormal; both have no usable scale
             if sigma == 0.0:
                 raise DataError(f"column {col_info.name!r} has zero dispersion")
+            if not math.isfinite(sigma):
+                raise DataError(f"column {col_info.name!r} is too spread out: its scatter overflows")
             out[:, c] = dev / sigma
-            scalings.append(ColumnScaling(col_info.name, mean, sigma, sigma))
+            scalings.append(ColumnScaling(col_info.name, mean, sigma))
     return CodedMatrix(
         columns=matrix.columns,
         data=out,

@@ -22,12 +22,12 @@ def brute_force_inner(x, y) -> complex:
     return total
 
 
-def two_pass_standardize(column, ddof: int = 0):
-    """Textbook two-pass mean then scatter, population denominator by default."""
+def two_pass_standardize(column):
+    """Textbook two-pass mean then scatter, population denominator."""
     vals = [complex(v) for v in column]
     n = len(vals)
     mean = sum(vals) / n
-    var = sum(abs(v - mean) ** 2 for v in vals) / (n - ddof)
+    var = sum(abs(v - mean) ** 2 for v in vals) / n
     sigma = math.sqrt(var)
     return mean, sigma, [(v - mean) / sigma for v in vals]
 

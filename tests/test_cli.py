@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,12 +59,16 @@ class TestRankCommand:
         assert code == 0
         assert json.loads(out) == [1.0, 4.0, 8.5, 8.5, 8.5, 4.0, 4.0, 8.5, 4.0, 4.0]
 
-    def test_schema_is_optional(self, capsys, tmp_path):
+    def test_schema_is_optional(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "d.csv"
         f.write_text("x,note\n3,a\n1,b\n2,c\n")
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda p, **kw: reads.append(p) or read_text(p, **kw))
         code, out, _ = run(capsys, ["rank", "--input", str(f), "--column", "x", "--json"])
         assert code == 0
         assert json.loads(out) == [3.0, 1.0, 2.0]
+        assert reads == [f]  # the header comes from the same read as the rows
 
     def test_nominal_column_is_a_data_error(self, capsys):
         code, _, err = run(
@@ -255,6 +260,20 @@ class TestClusterCommand:
         )
         assert code == 1
         assert "--k" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_column_is_a_data_error(self, capsys, tmp_path):
+        big = "1" + "0" * 300
+        csv = tmp_path / "o.csv"
+        csv.write_text(f"x,y\n{big},1\n-{big},2\n{big},3\n-{big},4\n")
+        schema = tmp_path / "o.schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "x", "role": "numeric"}, {"name": "y", "role": "numeric"}]}))
+        code, out, err = run(
+            capsys, ["cluster", "--input", str(csv), "--schema", str(schema), "--k", "2"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "complexrank: data error: column 'x' is too spread out: its scatter overflows\n"
 
     def test_k_zero_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

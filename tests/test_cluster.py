@@ -114,9 +114,19 @@ class TestKmeansBasics:
         with pytest.raises(DataError, match="finite"):
             kmeans(data, 2, seed=0)
 
-    def test_inertia_never_increases(self):
-        for seed in range(10):
-            kmeans(random_points(seed, 30, 2), 4, seed=seed, verify_monotone=True)
+    def test_inertia_never_increases(self, cars):
+        # checked from outside: a run cut after t passes has no more
+        # inertia than one cut after t - 1
+        cases = [(random_points(seed, 30, 2), 4, seed) for seed in range(10)]
+        for mode in EncodeMode:
+            m = standardize(encode_dataset(cars, mode))
+            cases += [(m, 3, seed) for seed in range(20)]
+        for data, k, seed in cases:
+            previous = math.inf
+            for t in range(1, kmeans(data, k, seed=seed).iterations + 1):
+                inertia = kmeans(data, k, seed=seed, max_iterations=t).inertia
+                assert inertia <= previous * (1 + 1e-12) + 1e-12, (seed, t, previous, inertia)
+                previous = inertia
 
     def test_converged_result_is_a_fixed_point(self):
         data = random_points(11, 25, 3)
@@ -267,9 +277,6 @@ class TestPurity:
     def test_injective_mapping_cannot_reuse_a_label(self):
         # both clusters are pure A; only one of them may claim the label
         assert purity_accuracy([0, 0, 1, 1], ["A", "A", "A", "A"]) == 0.5
-        assert (
-            purity_accuracy([0, 0, 1, 1], ["A", "A", "A", "A"], method="majority") == 1.0
-        )
 
     def test_more_labels_than_clusters_rejected(self):
         with pytest.raises(ValueError):
@@ -278,10 +285,6 @@ class TestPurity:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             purity_accuracy([0, 1], ["A"])
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            purity_accuracy([0], ["A"], method="plurality")
 
     def test_matches_assignment_problem_oracle(self):
         from scipy.optimize import linear_sum_assignment

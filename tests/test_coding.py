@@ -318,6 +318,14 @@ class TestSerialization:
         assert again.scaling == m.scaling
         assert np.array_equal(again.data, m.data)
 
+    def test_unequal_sigma_pair_rejected_on_read(self, cars):
+        from complexrank import standardize
+
+        doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.COMBINED)))
+        doc["scaling"][2]["sigma"]["im"] += 1e-9
+        with pytest.raises(DataError, match=r"scaling of column 'Color': sigma re .* and im .* differ"):
+            coded_matrix_from_json_dict(doc)
+
     def test_sources_tagged_per_column(self, cars):
         m = encode_dataset(cars, EncodeMode.COMBINED)
         sources = {c.name: c.source for c in m.columns}

@@ -44,6 +44,11 @@ class TestSchema:
         with pytest.raises(DataError, match="feature"):
             AttributeSchema((Column("only", Role.DECISION),))
 
+    @pytest.mark.parametrize("sep", [",", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
+    def test_name_no_header_can_match_rejected(self, sep):
+        with pytest.raises(DataError, match="bad column name"):
+            make_schema((f"x{sep}y", "numeric"))
+
     def test_unknown_role_rejected(self):
         with pytest.raises(DataError, match="role"):
             AttributeSchema.from_json('{"columns": [{"name": "a", "role": "float"}]}')
@@ -166,11 +171,19 @@ def test_to_csv_refuses_tokens_parse_csv_would_split(brk):
         ds.to_csv()
 
 
+@pytest.mark.parametrize("token", [" a", "a\t", "\xa0", " "])
+def test_to_csv_refuses_tokens_parse_csv_would_strip(token):
+    schema = make_schema(("x", "numeric"), ("c", "nominal"))
+    ds = Dataset(schema, ((1.0, "ok"), (2.0, token)))
+    with pytest.raises(DataError, match=r"row 2, column 2 \('c'\): token .* without quoting"):
+        ds.to_csv()
+
+
 simple_token = st.text(alphabet="abcdefXYZ_.-", min_size=1, max_size=6)
 # every line boundary str.splitlines() knows, plus the cell separator
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 csv_token = st.one_of(
-    simple_token, st.text(alphabet="abXY" + LINE_BREAKS + ",", min_size=1, max_size=4)
+    simple_token, st.text(alphabet="abXY \t\xa0" + LINE_BREAKS + ",", min_size=1, max_size=4)
 )
 
 
@@ -202,8 +215,8 @@ def test_csv_round_trip_is_stable(ds):
     except DataError as exc:
         assert "cannot be written without quoting" in str(exc)
         assert any(
-            "," in t or t.splitlines() != [t] for c in ds.schema.columns for t in ds.column(c.name)
-            if isinstance(t, str)
+            "," in t or t.splitlines() != [t] or t.strip() != t
+            for c in ds.schema.columns for t in ds.column(c.name) if isinstance(t, str)
         )
         return
     assert parse_csv(text, ds.schema) == ds
