@@ -28,6 +28,7 @@ from .coding import (
     base_rank,
     build_codebook,
     coded_matrix_from_json_dict,
+    coded_matrix_to_json,
     coded_matrix_to_json_dict,
     encode_dataset,
     onehot_encode,
@@ -66,6 +67,7 @@ __all__ = [
     "bucket_accuracies",
     "build_codebook",
     "coded_matrix_from_json_dict",
+    "coded_matrix_to_json",
     "coded_matrix_to_json_dict",
     "derive_run_seed",
     "distance",

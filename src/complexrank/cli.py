@@ -15,7 +15,8 @@ from .cluster import kmeans, purity_accuracy, run_experiment
 from .coding import (
     CodedMatrix,
     EncodeMode,
-    coded_matrix_to_json_dict,
+    coded_matrix_to_json,
+    coded_matrix_to_json_dict,  # noqa: F401 -- perfbench traces it under this module
     encode_dataset,
 )
 from .dataset import (
@@ -221,8 +222,7 @@ def _encode_table(matrix: CodedMatrix) -> str:
 def cmd_encode(args) -> int:
     dataset = _load_dataset(args, _load_schema(args.schema))
     matrix = encode_dataset(dataset, args.mode)
-    doc = {"mode": args.mode.value, **coded_matrix_to_json_dict(matrix)}
-    json_text = json.dumps(doc, indent=2) + "\n"
+    json_text = coded_matrix_to_json(matrix, args.mode)
     if args.table:
         _emit(args, _encode_table(matrix), json_text)
     else:

@@ -15,9 +15,12 @@ the baseline integer and one-hot codes simply have a zero imaginary part.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -356,20 +359,11 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
     )
 
 
-def coded_matrix_to_json_dict(matrix: CodedMatrix) -> dict:
-    """JSON form of a coded matrix; complex cells become re/im pairs."""
-    doc: dict = {
-        "columns": [{"name": c.name, "source": c.source.value} for c in matrix.columns],
-        "rows": [
-            [{"re": z.real, "im": z.imag} for z in row] for row in matrix.data.tolist()
-        ],
-        "decision": list(matrix.decision) if matrix.decision is not None else None,
-        "codebooks": [cb.to_json_dict() for cb in matrix.codebooks],
-        "adhoc_codes": matrix.adhoc_codes,
-        "scaling": None,
-    }
+def _json_fields(matrix: CodedMatrix) -> tuple[dict, dict]:
+    """The JSON fields of a coded matrix that come before "rows" and after it."""
+    scaling = None
     if matrix.scaling is not None:
-        doc["scaling"] = [
+        scaling = [
             {
                 "name": s.name,
                 "mean": {"re": s.mean.real, "im": s.mean.imag},
@@ -377,7 +371,107 @@ def coded_matrix_to_json_dict(matrix: CodedMatrix) -> dict:
             }
             for s in matrix.scaling
         ]
-    return doc
+    head = {"columns": [{"name": c.name, "source": c.source.value} for c in matrix.columns]}
+    tail = {
+        "decision": list(matrix.decision) if matrix.decision is not None else None,
+        "codebooks": [cb.to_json_dict() for cb in matrix.codebooks],
+        "adhoc_codes": matrix.adhoc_codes,
+        "scaling": scaling,
+    }
+    return head, tail
+
+
+def coded_matrix_to_json_dict(matrix: CodedMatrix) -> dict:
+    """JSON form of a coded matrix; complex cells become re/im pairs."""
+    head, tail = _json_fields(matrix)
+    rows = [[{"re": z.real, "im": z.imag} for z in row] for row in matrix.data.tolist()]
+    return {**head, "rows": rows, **tail}
+
+
+# one cell as json.dumps(indent=2) writes it inside "rows"; CodedMatrix
+# cells are finite, and for a finite float repr is the text json writes
+_JSON_CELL = '      {\n        "re": %r,\n        "im": %r\n      }'
+
+
+def coded_matrix_to_json(matrix: CodedMatrix, mode: EncodeMode) -> str:
+    """The `encode --json` document of a coded matrix.
+
+    The text is `json.dumps({"mode": mode.value, **coded_matrix_to_json_dict(matrix)},
+    indent=2) + "\n"`, byte for byte. Only the fields around "rows" go
+    through json; the rows are formatted straight from the array by one
+    `%r` template per row, without building a dict per cell.
+    """
+    head, tail = _json_fields(matrix)
+    n, d = matrix.data.shape
+    rows = "[]"
+    if n:
+        row = "    [\n" + ",\n".join([_JSON_CELL] * d) + "\n    ]" if d else "    []"
+        values = matrix.data.ravel().view(np.float64).tolist()
+        rows = "[\n" + ",\n".join([row] * n) % tuple(values) + "\n  ]"
+    # both dumps are non-empty objects: "{\n" + fields + "\n}"
+    before = json.dumps({"mode": mode.value, **head}, indent=2)[:-2]
+    after = json.dumps(tail, indent=2)[2:]
+    return f'{before},\n  "rows": {rows},\n{after}\n'
+
+
+def _checked_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
+    """Cell by cell: every cell must be {"re": number, "im": number}."""
+    data = np.empty((len(rows), len(columns)), dtype=np.complex128)
+    for r, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            where = f"coded cell at row {r + 1}, column {c + 1} ({columns[c].name!r})"
+            if not isinstance(cell, dict) or not {"re", "im"} <= cell.keys():
+                raise DataError(f"{where} is not a re/im pair: {cell!r}")
+            for key in ("re", "im"):
+                if isinstance(cell[key], bool) or not isinstance(cell[key], (int, float)):
+                    raise DataError(f"{where}: {key} {cell[key]!r} is not a number")
+            try:
+                data[r, c] = complex(float(cell["re"]), float(cell["im"]))
+            except OverflowError:
+                raise DataError(f"{where} does not fit a float") from None
+    return data
+
+
+def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
+    """The (rows, columns) complex array of the "rows" field.
+
+    Each row holds one cell per column, and each cell's re and im are an
+    int or a float, never a bool; else DataError names the row and column.
+    Plain documents take one gather into a float64 array; anything else
+    is checked cell by cell.
+    """
+    if not isinstance(rows, list):
+        raise DataError(f"coded rows must be a list, got {type(rows).__name__}")
+    width = len(columns)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            found = f"{len(row)} cells" if isinstance(row, list) else type(row).__name__
+            raise DataError(f"coded row {r + 1} must hold {width} cells, found {found}")
+    try:
+        values = list(chain.from_iterable(map(itemgetter("re", "im"), chain.from_iterable(rows))))
+        if {float, int}.issuperset(map(type, values)):
+            return np.array(values, dtype=np.float64).view(np.complex128).reshape(len(rows), width)
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _checked_cells(rows, columns)
+
+
+def _read_scaling(s: dict, column: str) -> ColumnScaling:
+    """One scaling entry: it must be `column`'s, with a finite mean and a
+    finite, positive sigma."""
+    name = str(s["name"])
+    if name != column:
+        raise DataError(f"scaling entry {name!r} stands where column {column!r} does")
+    # one sigma scales both channels; the JSON keeps the re/im pair
+    re, im = float(s["sigma"]["re"]), float(s["sigma"]["im"])
+    if not all(math.isfinite(v) and v > 0 for v in (re, im)):
+        raise DataError(f"scaling of column {name!r}: sigma ({re!r}, {im!r}) is not finite and positive")
+    if re != im:
+        raise DataError(f"scaling of column {name!r}: sigma re {re!r} and im {im!r} differ")
+    mean = complex(s["mean"]["re"], s["mean"]["im"])
+    if not (math.isfinite(mean.real) and math.isfinite(mean.imag)):
+        raise DataError(f"scaling of column {name!r}: mean {mean!r} is not finite")
+    return ColumnScaling(name, mean, re)
 
 
 def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
@@ -385,26 +479,20 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
     columns = tuple(
         CodedColumn(str(c["name"]), ColumnSource(c["source"])) for c in doc["columns"]
     )
-    data = np.array(
-        [[complex(cell["re"], cell["im"]) for cell in row] for row in doc["rows"]],
-        dtype=np.complex128,
-    )
+    data = _read_cells(doc["rows"], columns)
     decision = tuple(doc["decision"]) if doc.get("decision") is not None else None
     codebooks = tuple(NominalCodebook.from_json_dict(cb) for cb in doc.get("codebooks", []))
     adhoc_codes = {
         name: {t: float(v) for t, v in codes.items()}
         for name, codes in doc.get("adhoc_codes", {}).items()
     }
-    scaling = None
-    if doc.get("scaling") is not None:
-        scaling = []
-        for s in doc["scaling"]:
-            # one sigma scales both channels; the JSON keeps the re/im pair
-            name, re, im = str(s["name"]), float(s["sigma"]["re"]), float(s["sigma"]["im"])
-            if re != im:
-                raise DataError(f"scaling of column {name!r}: sigma re {re!r} and im {im!r} differ")
-            scaling.append(ColumnScaling(name, complex(s["mean"]["re"], s["mean"]["im"]), re))
-        scaling = tuple(scaling)
+    scaling = doc.get("scaling")
+    if scaling is not None:
+        if len(scaling) != len(columns):
+            missing = (f"column {columns[len(scaling)].name!r} has none" if len(scaling) < len(columns)
+                       else f"entry {len(columns) + 1} has no column")
+            raise DataError(f"scaling has {len(scaling)} entries for {len(columns)} columns: {missing}")
+        scaling = tuple(_read_scaling(s, c.name) for s, c in zip(scaling, columns))
     return CodedMatrix(
         columns=columns,
         data=data,

@@ -8,6 +8,7 @@ sides of a comparison.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -137,6 +138,18 @@ def encode_oracle(dataset, mode: str):
                 cols.append([complex(float(t == token)) for t in cells])
     data = np.array(cols, dtype=np.complex128).T.reshape(dataset.n_rows, len(cols))
     return data, names, codebooks, adhoc
+
+
+def reference_encode_json(matrix, mode) -> str:
+    """The `encode --json` text through json's own encoder, a dict per cell.
+
+    This is the writer `coded_matrix_to_json` replaced: the library's dict
+    form, laid out by `json.dumps(indent=2)`.
+    """
+    from complexrank import coded_matrix_to_json_dict
+
+    doc = {"mode": mode.value, **coded_matrix_to_json_dict(matrix)}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def brute_force_purity(assignments, labels) -> float:

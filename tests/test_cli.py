@@ -8,6 +8,8 @@ from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode
 from complexrank.cli import format_complex, main
 from complexrank.dataset import cars_csv_path, cars_schema_path
 
+from .oracles import reference_encode_json
+
 CARS = str(cars_csv_path())
 SCHEMA = str(cars_schema_path())
 
@@ -149,6 +151,18 @@ class TestEncodeCommand:
         assert np.array_equal(matrix.data, want.data)
         assert matrix.decision == want.decision
         assert matrix.codebooks == want.codebooks
+
+    @pytest.mark.parametrize("mode", list(EncodeMode))
+    def test_json_and_output_bytes_match_json_dumps(self, capsys, cars, tmp_path, mode):
+        want = reference_encode_json(encode_dataset(cars, mode), mode)
+        out_file = tmp_path / "m.json"
+        for flag in ("--json", "--table"):
+            code, out, _ = run(capsys, ["encode", "--input", CARS, "--schema", SCHEMA,
+                                        "--mode", mode.value, flag, "--output", str(out_file)])
+            assert code == 0
+            assert out_file.read_bytes() == want.encode()
+            if flag == "--json":
+                assert out == want
 
     def test_mode_with_no_matching_columns_is_a_data_error(self, capsys, tmp_path):
         csv = tmp_path / "n.csv"

@@ -12,6 +12,7 @@ from complexrank import (
     base_rank,
     build_codebook,
     coded_matrix_from_json_dict,
+    coded_matrix_to_json,
     coded_matrix_to_json_dict,
     encode_dataset,
     onehot_encode,
@@ -27,7 +28,7 @@ from complexrank.coding import (
 )
 from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
-from .oracles import encode_oracle
+from .oracles import encode_oracle, reference_encode_json
 
 token_lists = st.lists(
     st.text(alphabet="abcdef", min_size=1, max_size=2), min_size=1, max_size=40
@@ -326,6 +327,74 @@ class TestSerialization:
         with pytest.raises(DataError, match=r"scaling of column 'Color': sigma re .* and im .* differ"):
             coded_matrix_from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda sc: sc[2].update(sigma={"re": -1, "im": -1}),
+             r"scaling of column 'Color': sigma \(-1.0, -1.0\) is not finite and positive"),
+            (lambda sc: sc[2].update(mean={"re": math.nan, "im": 0.0}),
+             r"scaling of column 'Color': mean .*nan.* is not finite"),
+            (lambda sc: sc[2].update(name="Colour"),
+             r"scaling entry 'Colour' stands where column 'Color' does"),
+            (lambda sc: sc.__delitem__(slice(2, None)),
+             r"scaling has 2 entries for 6 columns: column 'Color' has none"),
+            (lambda sc: sc.append(sc[0]),
+             r"scaling has 7 entries for 6 columns: entry 7 has no column"),
+            (lambda sc: sc[0].update(sigma={"re": 0.0, "im": 0.0}),
+             r"scaling of column 'Door': sigma \(0.0, 0.0\) is not finite and positive"),
+            (lambda sc: sc[0].update(sigma={"re": math.inf, "im": math.inf}),
+             r"scaling of column 'Door': sigma \(inf, inf\) is not finite and positive"),
+            (lambda sc: sc[0].update(sigma={"re": math.nan, "im": math.nan}),
+             r"scaling of column 'Door': sigma \(nan, nan\) is not finite and positive"),
+        ],
+        ids=["negative-sigma", "nan-mean", "unknown-name", "short-list", "long-list",
+             "zero-sigma", "inf-sigma", "nan-sigma"],
+    )
+    def test_bad_scaling_entry_rejected_on_read(self, cars, edit, message):
+        doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.COMBINED)))
+        edit(doc["scaling"])
+        with pytest.raises(DataError, match=message):
+            coded_matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[3].pop(), r"coded row 4 must hold 6 cells, found 5 cells"),
+            (lambda rows: rows[0].append(rows[0][0]), r"coded row 1 must hold 6 cells, found 7 cells"),
+            (lambda rows: rows.__setitem__(2, None), r"coded row 3 must hold 6 cells, found NoneType"),
+            (lambda rows: rows[3][1].update(re="100"),
+             r"coded cell at row 4, column 2 \('Power'\): re '100' is not a number"),
+            (lambda rows: rows[3][1].update(re=True),
+             r"coded cell at row 4, column 2 \('Power'\): re True is not a number"),
+            (lambda rows: rows[9][5].update(im=False),
+             r"coded cell at row 10, column 6 \('Wheel'\): im False is not a number"),
+            (lambda rows: rows[3][1].pop("im"),
+             r"coded cell at row 4, column 2 \('Power'\) is not a re/im pair"),
+            (lambda rows: rows[3].__setitem__(1, [100.0, 0.0]),
+             r"coded cell at row 4, column 2 \('Power'\) is not a re/im pair"),
+            (lambda rows: rows[3][1].update(re=10**400),
+             r"coded cell at row 4, column 2 \('Power'\) does not fit a float"),
+        ],
+        ids=["short-row", "long-row", "null-row", "string-re", "true-re", "false-im",
+             "missing-im", "list-cell", "huge-int"],
+    )
+    def test_bad_cell_rejected_on_read(self, cars, edit, message):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.COMBINED))
+        edit(doc["rows"])
+        with pytest.raises(DataError, match=message):
+            coded_matrix_from_json_dict(doc)
+
+    def test_int_and_float_subclass_cells_read_exactly(self, cars):
+        m = encode_dataset(cars, EncodeMode.COMBINED)
+        doc = coded_matrix_to_json_dict(m)
+        doc["rows"][0][1] = {"re": 60, "im": 0}  # json.loads gives ints for "60"
+        assert coded_matrix_from_json_dict(doc).data.tobytes() == m.data.tobytes()
+        doc["rows"][0][1] = {"re": np.float64(60.0), "im": 0.0}
+        assert coded_matrix_from_json_dict(doc).data.tobytes() == m.data.tobytes()
+        big = 2**70 + 12345  # rounds on the way to float64
+        doc["rows"][0][1] = {"re": big, "im": -(2**64) - 3}
+        assert coded_matrix_from_json_dict(doc).data[0, 1] == complex(big, -(2**64) - 3)
+
     def test_sources_tagged_per_column(self, cars):
         m = encode_dataset(cars, EncodeMode.COMBINED)
         sources = {c.name: c.source for c in m.columns}
@@ -386,6 +455,55 @@ class TestSerialization:
                          CodedColumn("b", ColumnSource.NUMERIC)), data)
 
 
+class TestJsonWriter:
+    """`coded_matrix_to_json` against json.dumps of the dict form, byte for byte."""
+
+    @pytest.mark.parametrize("mode", list(EncodeMode))
+    def test_cars_every_mode_raw_and_scaled(self, cars, mode):
+        m = encode_dataset(cars, mode)
+        for a in (m, standardize(m)):
+            assert coded_matrix_to_json(a, mode) == reference_encode_json(a, mode)
+
+    def test_float_edge_cells(self):
+        cells = [complex(-0.0, 5e-324), complex(1e300, -1e16), complex(0.1 + 0.2, -0.0),
+                 complex(1e16, 2.5e-308), complex(-1.7976931348623157e308, 1 / 3)]
+        m = CodedMatrix(tuple(CodedColumn(n, ColumnSource.NUMERIC) for n in "abcde"), [cells])
+        text = coded_matrix_to_json(m, EncodeMode.NUMERIC)
+        assert text == reference_encode_json(m, EncodeMode.NUMERIC)
+        assert '"re": -0.0' in text and '"im": 5e-324' in text and '"re": 0.30000000000000004' in text
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 0), (1, 0), (0, 2), (0, 0)])
+    def test_degenerate_shapes(self, shape):
+        rows, cols = shape
+        columns = tuple(CodedColumn(f"c{i}", ColumnSource.NUMERIC) for i in range(cols))
+        m = CodedMatrix(columns, (np.arange(rows * cols) * (1 - 1j)).reshape(shape))
+        assert coded_matrix_to_json(m, EncodeMode.NUMERIC) == reference_encode_json(m, EncodeMode.NUMERIC)
+
+    def test_fortran_ordered_data(self):
+        columns = tuple(CodedColumn(n, ColumnSource.NUMERIC) for n in "abc")
+        m = CodedMatrix(columns, np.asfortranarray(np.arange(12).reshape(4, 3) * (1 + 2j)))
+        assert not m.data.flags.c_contiguous
+        assert coded_matrix_to_json(m, EncodeMode.NUMERIC) == reference_encode_json(m, EncodeMode.NUMERIC)
+
+    def test_names_and_tokens_that_need_escaping(self):
+        odd = ['"rows": []', 'q"uote', "back\\slash", "ünïcödé ✓", "tab\tbell\x07", "{", "]"]
+        schema = AttributeSchema((
+            Column('num "rows": [] \\ é', Role.NUMERIC),
+            Column('"rows": []', Role.NOMINAL),
+            Column("naïve\\", Role.NOMINAL),
+            Column("label", Role.DECISION),
+        ))
+        rows = [(float(i), odd[i % len(odd)], odd[(i * 3) % len(odd)], odd[i % 3]) for i in range(9)]
+        ds = Dataset(schema, tuple(rows))
+        for mode in EncodeMode:
+            m = encode_dataset(ds, mode)
+            for a in (m, standardize(m)):
+                text = coded_matrix_to_json(a, mode)
+                assert text == reference_encode_json(a, mode)
+                again = coded_matrix_from_json_dict(json.loads(text))
+                assert again.data.tobytes() == a.data.tobytes() and again.columns == a.columns
+
+
 @st.composite
 def tied_datasets(draw):
     """Small tables whose nominal columns carry a forced frequency tie group.
@@ -440,6 +558,21 @@ class TestArrayPathAgainstOracle:
                     (t, (n, j, k, bits(z))) for t, (n, j, k, z) in want.items()
                 ]
             assert repr(m.adhoc_codes) == repr(adhoc)
+
+    @given(tied_datasets())
+    def test_json_writer_matches_json_dumps(self, ds):
+        for mode in EncodeMode:
+            try:
+                m = encode_dataset(ds, mode)
+            except DataError:
+                continue
+            matrices = [m]
+            try:
+                matrices.append(standardize(m))
+            except DataError:  # fewer than 2 rows or a constant column
+                pass
+            for a in matrices:
+                assert coded_matrix_to_json(a, mode) == reference_encode_json(a, mode)
 
     @given(tied_datasets())
     def test_json_round_trip_is_bit_identical(self, ds):
