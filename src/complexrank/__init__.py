@@ -31,7 +31,6 @@ from .coding import (
     coded_matrix_to_json,
     coded_matrix_to_json_dict,
     encode_dataset,
-    onehot_encode,
     root_of_unity,
 )
 from .dataset import (
@@ -76,7 +75,6 @@ __all__ = [
     "kmeans",
     "load_cars",
     "norm",
-    "onehot_encode",
     "parse_csv",
     "purity_accuracy",
     "ranks",

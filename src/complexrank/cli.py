@@ -21,7 +21,6 @@ from .coding import (
 )
 from .dataset import (
     AttributeSchema,
-    Column,
     DataError,
     Dataset,
     Role,
@@ -30,6 +29,7 @@ from .dataset import (
     parse_csv,
 )
 from .ranking import ranks
+from .space import standardize
 
 
 class UsageError(Exception):
@@ -185,11 +185,8 @@ def cmd_rank(args) -> int:
         # No schema given: everything but the target column is treated as
         # free text so the file still parses; an unknown column fails below.
         header = [h.strip() for h in text.splitlines()[0].split(",")] if text else []
-        schema = AttributeSchema(
-            tuple(
-                Column(name, Role.NUMERIC if name == args.column else Role.NOMINAL)
-                for name in header
-            )
+        schema = AttributeSchema.from_pairs(
+            [(name, Role.NUMERIC if name == args.column else Role.NOMINAL) for name in header]
         )
     dataset = parse_csv(text, schema, missing_as_category=args.missing_as_category)
     values = dataset.numeric(args.column).tolist()
@@ -223,17 +220,12 @@ def cmd_encode(args) -> int:
     dataset = _load_dataset(args, _load_schema(args.schema))
     matrix = encode_dataset(dataset, args.mode)
     json_text = coded_matrix_to_json(matrix, args.mode)
-    if args.table:
-        _emit(args, _encode_table(matrix), json_text)
-    else:
-        _emit(args, json_text, json_text)
+    _emit(args, _encode_table(matrix) if args.table else json_text, json_text)
     return 0
 
 
 def cmd_cluster(args) -> int:
     dataset = _load_dataset(args, _load_schema(args.schema))
-    from .space import standardize
-
     matrix = standardize(encode_dataset(dataset, args.mode))
     labels = dataset.decision_labels()
     k = args.k
@@ -281,10 +273,7 @@ def cmd_experiment(args) -> int:
         master_seed=args.seed,
     )
     json_text = report.to_json()
-    if args.json:
-        _emit(args, json_text, json_text)
-    else:
-        _emit(args, report.render_table(), json_text)
+    _emit(args, json_text if args.json else report.render_table(), json_text)
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coding import CodedMatrix, EncodeMode, encode_dataset
 from .dataset import DataError, Dataset
-from .space import standardize
+from .space import real_expansion, standardize
 
 RNG_NOTE = "numpy.random.default_rng (PCG64)"
 SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
@@ -62,8 +62,7 @@ def _working_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-dimensional matrix, got shape {a.shape}")
     if np.iscomplexobj(a):
-        a = np.ascontiguousarray(a, dtype=np.complex128)
-        return a.view(np.float64), True
+        return real_expansion(a), True
     return np.ascontiguousarray(a, dtype=np.float64), False
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -105,21 +105,6 @@ class NominalCodebook:
     attribute: str
     entries: Mapping[str, ComplexRank]
 
-    @property
-    def total(self) -> int:
-        return sum(e.frequency for e in self.entries.values())
-
-    def code(self, token: str) -> complex:
-        try:
-            return self.entries[token].value
-        except KeyError:
-            raise DataError(
-                f"token {token!r} is not in the codebook for {self.attribute!r}"
-            ) from None
-
-    def encode(self, values: Iterable[str]) -> list[complex]:
-        return [self.code(v) for v in values]
-
     def to_json_dict(self) -> dict:
         entries = {token: e.to_json_dict() for token, e in self.entries.items()}
         return {"attribute": self.attribute, "entries": entries}
@@ -195,19 +180,6 @@ def adhoc_codebook(values: Sequence[str]) -> dict[str, float]:
     if not distinct:
         raise ValueError("cannot build an ad hoc codebook from an empty column")
     return {t: float(i + 1) for i, t in enumerate(distinct)}
-
-
-def onehot_encode(values: Sequence[str]) -> np.ndarray:
-    """Baseline coding: standard basis vectors, one axis per distinct token.
-
-    Returns an (N, m) float matrix where m is the number of distinct
-    tokens in first-occurrence order. Any two different tokens end up at
-    Euclidean distance sqrt(2).
-    """
-    codes, vocabulary = factorize(values)
-    if not vocabulary:
-        raise ValueError("cannot one-hot encode an empty column")
-    return np.eye(len(vocabulary))[codes]
 
 
 class EncodeMode(Enum):
@@ -341,7 +313,8 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
             cb = _codebook(codes, vocabulary, col.name)
             codebooks.append(cb)
             columns.append(CodedColumn(col.name, ColumnSource.COMPLEX_CODED))
-            arrays.append(np.array(cb.encode(vocabulary))[codes])
+            # the entries are in vocabulary order, so a token's code indexes its value
+            arrays.append(np.array([e.value for e in cb.entries.values()])[codes])
         elif mode is EncodeMode.ADHOC:
             adhoc_codes[col.name] = adhoc_codebook(vocabulary)
             columns.append(CodedColumn(col.name, ColumnSource.ADHOC_CODED))
@@ -480,7 +453,15 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         CodedColumn(str(c["name"]), ColumnSource(c["source"])) for c in doc["columns"]
     )
     data = _read_cells(doc["rows"], columns)
-    decision = tuple(doc["decision"]) if doc.get("decision") is not None else None
+    decision = doc.get("decision")
+    if decision is not None:
+        if not isinstance(decision, list) or len(decision) != len(data):
+            found = f"{len(decision)} labels" if isinstance(decision, list) else type(decision).__name__
+            raise DataError(f"decision must be null or one label per row: {len(data)} rows, found {found}")
+        for r, label in enumerate(decision, start=1):
+            if not isinstance(label, str):
+                raise DataError(f"decision label at row {r} is not a string: {label!r}")
+        decision = tuple(decision)
     codebooks = tuple(NominalCodebook.from_json_dict(cb) for cb in doc.get("codebooks", []))
     adhoc_codes = {
         name: {t: float(v) for t, v in codes.items()}

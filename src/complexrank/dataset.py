@@ -125,32 +125,28 @@ def factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple]:
 class Dataset:
     """A table whose cells have been validated once against a schema.
 
-    Cells are stored by column as read-only (values, vocabulary) pairs. A
-    numeric column is a float64 array with vocabulary None; a nominal or
-    decision column is an array of integer codes into its vocabulary, the
-    distinct tokens in first-occurrence order.
+    The constructor takes one sequence of cells per schema column, all of
+    the same length. Cells are stored by column as read-only (values,
+    vocabulary) pairs. A numeric column is a float64 array with vocabulary
+    None; a nominal or decision column is an array of integer codes into its
+    vocabulary, the distinct tokens in first-occurrence order.
     """
 
-    def __init__(self, schema: AttributeSchema, rows: Sequence[Sequence[Cell]]) -> None:
-        width = len(schema.columns)
-        for r, row in enumerate(rows, start=1):
-            if len(row) != width:
-                raise DataError(f"row {r}: expected {width} cells, found {len(row)}")
-        self._store(schema, list(zip(*rows)))
-
-    @classmethod
-    def _from_columns(cls, schema: AttributeSchema, columns: list[list[Cell]]) -> "Dataset":
-        dataset = cls.__new__(cls)
-        dataset._store(schema, columns)
-        return dataset
-
-    def _store(self, schema: AttributeSchema, columns: Sequence[Sequence[Cell]]) -> None:
+    def __init__(self, schema: AttributeSchema, columns: Sequence[Sequence[Cell]]) -> None:
         """Check each column in one pass and keep it in array form."""
-        if not columns or not columns[0]:
+        width = len(schema.columns)
+        if len(columns) != width:
+            missing = (f"column {len(columns) + 1} ({schema.columns[len(columns)].name!r}) has none"
+                       if len(columns) < width else f"column {width + 1} has no schema entry")
+            raise DataError(f"expected {width} columns, found {len(columns)}: {missing}")
+        n_rows = len(columns[0])
+        if not n_rows:
             raise DataError("dataset has no rows")
         stored: list = []
         for j, (col, cells) in enumerate(zip(schema.columns, columns), start=1):
             where = f"column {j} ({col.name!r})"
+            if len(cells) != n_rows:
+                raise DataError(f"{where}: expected {n_rows} cells, found {len(cells)}")
             if col.role is Role.NUMERIC:
                 if not set(map(type, cells)) <= {float, int}:
                     for r, v in enumerate(cells, start=1):
@@ -170,7 +166,7 @@ class Dataset:
                     raise DataError(f"row {r}, {where}: expected a non-empty token, got {token!r}")
             stored.append((codes, vocabulary))
         self.schema = schema
-        self.n_rows = len(columns[0])
+        self.n_rows = n_rows
         self._columns = tuple(stored)
 
     def numeric(self, name: str) -> np.ndarray:
@@ -191,10 +187,6 @@ class Dataset:
             return values.tolist()
         return list(map(vocabulary.__getitem__, values.tolist()))
 
-    @property
-    def rows(self) -> tuple[tuple[Cell, ...], ...]:
-        return tuple(zip(*(self.column(n) for n in self.schema.names)))
-
     def decision_labels(self) -> list[str] | None:
         col = self.schema.decision_column
         return None if col is None else self.column(col.name)
@@ -202,7 +194,10 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.schema == other.schema and self.rows == other.rows
+        return self.schema == other.schema and all(
+            np.array_equal(a, b) and va == vb
+            for (a, va), (b, vb) in zip(self._columns, other._columns)
+        )
 
     def to_csv(self) -> str:
         """Serialize back to the strict CSV dialect parse_csv() accepts."""
@@ -295,7 +290,7 @@ def parse_csv(
                 raise DataError(f"row {cells.index('') + 1}, {where}: empty value")
             cells = [c or missing_as_category for c in cells]
         columns.append(cells)
-    return Dataset._from_columns(schema, columns)
+    return Dataset(schema, columns)
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
+
+import numpy as np
 
 
 def ranks(values: Sequence[float]) -> list[float]:
@@ -13,23 +14,19 @@ def ranks(values: Sequence[float]) -> list[float]:
     positions and all receive the arithmetic mean of that run. The result
     follows the input order, so rank i belongs to values[i].
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    vals = np.array([float(v) for v in values], dtype=np.float64)
+    if not vals.size:
         raise ValueError("ranks() needs at least one value")
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"ranks() requires finite values, got {v!r}")
-    n = len(vals)
-    order = sorted(range(n), key=vals.__getitem__)
-    out = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and vals[order[j + 1]] == vals[order[i]]:
-            j += 1
-        # positions are 1-based, the mean of i+1 .. j+1
-        avg = (i + j + 2) / 2
-        for p in range(i, j + 1):
-            out[order[p]] = avg
-        i = j + 1
-    return out
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"ranks() requires finite values, got {float(vals[bad[0]])!r}")
+    order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    # a run of equal values starts where the sorted values change; comparing
+    # neighbours instead of subtracting them cannot overflow
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[start[1:], vals.size] - 1
+    # positions are 1-based, the mean of start+1 .. end+1
+    out = np.empty(vals.size)
+    out[order] = np.repeat((start + end + 2) / 2, end - start + 1)
+    return out.tolist()

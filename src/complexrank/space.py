@@ -11,6 +11,7 @@ what lets standard k-means run on complex-coded data unchanged.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +48,7 @@ def distance(x: ComplexVector, y: ComplexVector) -> float:
     xa, ya = _as_vector(x), _as_vector(y)
     if xa.shape != ya.shape:
         raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
-    d = ya - xa
-    return math.sqrt(float(np.sum(d.real**2 + d.imag**2)))
+    return norm(ya - xa)
 
 
 def real_expansion(x: np.ndarray | ComplexVector) -> np.ndarray:
@@ -93,11 +93,4 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
                 raise DataError(f"column {col_info.name!r} is too spread out: its scatter overflows")
             out[:, c] = dev / sigma
             scalings.append(ColumnScaling(col_info.name, mean, sigma))
-    return CodedMatrix(
-        columns=matrix.columns,
-        data=out,
-        decision=matrix.decision,
-        codebooks=matrix.codebooks,
-        adhoc_codes=matrix.adhoc_codes,
-        scaling=tuple(scalings),
-    )
+    return replace(matrix, data=out, scaling=tuple(scalings))

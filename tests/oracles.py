@@ -23,6 +23,23 @@ def brute_force_inner(x, y) -> complex:
     return total
 
 
+def loop_ranks(values) -> list[float]:
+    """Average ranks by walking the runs of a stable sort in pure Python."""
+    vals = [float(v) for v in values]
+    n = len(vals)
+    order = sorted(range(n), key=vals.__getitem__)
+    out = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and vals[order[j + 1]] == vals[order[i]]:
+            j += 1
+        for p in range(i, j + 1):
+            out[order[p]] = (i + j + 2) / 2  # mean of positions i+1 .. j+1
+        i = j + 1
+    return out
+
+
 def two_pass_standardize(column):
     """Textbook two-pass mean then scatter, population denominator."""
     vals = [complex(v) for v in column]

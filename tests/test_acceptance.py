@@ -62,9 +62,9 @@ def test_c1_tied_ranks():
 def test_c2_distinct_frequency_codes_stay_real():
     with criterion(2, "distinct-frequency codes stay real"):
         cb = build_codebook(["a"] * 6 + ["b"] * 5 + ["c"] * 4)
-        assert cb.code("a") == 3.5 + 0j
-        assert cb.code("b") == 3.0 + 0j
-        assert cb.code("c") == 2.5 + 0j
+        assert cb.entries["a"].value == 3.5 + 0j
+        assert cb.entries["b"].value == 3.0 + 0j
+        assert cb.entries["c"].value == 2.5 + 0j
 
 
 def test_c3_equal_frequency_codes_spread_over_roots():

@@ -390,8 +390,7 @@ class TestSeedDerivation:
 
 def tiny_labeled_dataset():
     schema = AttributeSchema.from_pairs([("x", "numeric"), ("y", "decision")])
-    rows = ((0.0, "A"), (0.1, "A"), (10.0, "B"), (10.1, "B"))
-    return Dataset(schema, rows)
+    return Dataset(schema, ([0.0, 0.1, 10.0, 10.1], ["A", "A", "B", "B"]))
 
 
 class TestRunExperiment:
@@ -449,7 +448,7 @@ class TestRunExperiment:
 
     def test_needs_a_decision_column(self):
         schema = AttributeSchema.from_pairs([("x", "numeric")])
-        ds = Dataset(schema, ((0.0,), (1.0,)))
+        ds = Dataset(schema, ([0.0, 1.0],))
         with pytest.raises(DataError):
             run_experiment(ds)
 

@@ -15,7 +15,6 @@ from complexrank import (
     coded_matrix_to_json,
     coded_matrix_to_json_dict,
     encode_dataset,
-    onehot_encode,
     root_of_unity,
     standardize,
 )
@@ -33,6 +32,12 @@ from .oracles import encode_oracle, reference_encode_json
 token_lists = st.lists(
     st.text(alphabet="abcdef", min_size=1, max_size=2), min_size=1, max_size=40
 )
+
+
+def onehot_block(values):
+    """The one-hot block encode_dataset gives a one-column nominal dataset."""
+    schema = AttributeSchema((Column("t", Role.NOMINAL),))
+    return encode_dataset(Dataset(schema, [values]), EncodeMode.ONEHOT).data
 
 
 class TestBaseRank:
@@ -75,9 +80,9 @@ class TestBuildCodebook:
         # three classes with frequencies 6, 5, 4
         values = ["a"] * 6 + ["b"] * 5 + ["c"] * 4
         cb = build_codebook(values)
-        assert cb.code("a") == 3.5 + 0j
-        assert cb.code("b") == 3.0 + 0j
-        assert cb.code("c") == 2.5 + 0j
+        assert cb.entries["a"].value == 3.5 + 0j
+        assert cb.entries["b"].value == 3.0 + 0j
+        assert cb.entries["c"].value == 2.5 + 0j
         for e in cb.entries.values():
             assert e.rank.group_size == 1
             assert e.rank.phase == 0.0
@@ -103,22 +108,18 @@ class TestBuildCodebook:
         # Blue and Black tie at 3, Red is alone at 4; first occurrence wins j=0
         values = ["Blue", "Black", "Black", "Red", "Red", "Red", "Red", "Black", "Blue", "Blue"]
         cb = build_codebook(values, attribute="Color")
-        assert cb.code("Blue") == 2 + 0j
-        assert cb.code("Black") == -2 + 0j  # exactly real, not -2 + tiny*i
-        assert cb.code("Red") == 2.5 + 0j
+        assert cb.entries["Blue"].value == 2 + 0j
+        assert cb.entries["Black"].value == -2 + 0j  # exactly real, not -2 + tiny*i
+        assert cb.entries["Red"].value == 2.5 + 0j
         assert cb.entries["Black"].rank.phase == math.pi
 
     def test_single_token_column(self):
         cb = build_codebook(["x"])
-        assert cb.code("x") == 1 + 0j
+        assert cb.entries["x"].value == 1 + 0j
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_codebook([])
-
-    def test_total_records_column_length(self):
-        cb = build_codebook(["a", "b", "a"])
-        assert cb.total == 3
 
     @given(token_lists)
     def test_codes_are_injective(self, values):
@@ -169,14 +170,9 @@ class TestEncodeColumn:
         values = ["Petrol", "Diesel", "Petrol", "Petrol", "Petrol", "Diesel", "LPG",
                   "Petrol", "LPG", "Diesel"]
         cb = build_codebook(values, attribute="Fuel")
-        assert cb.encode(values) == [
+        assert [cb.entries[v].value for v in values] == [
             3, 2, 3, 3, 3, 2, 1.5, 3, 1.5, 2,
         ]
-
-    def test_unseen_token_rejected(self):
-        cb = build_codebook(["a", "b"])
-        with pytest.raises(DataError, match="'c'"):
-            cb.encode(["a", "c"])
 
 
 class TestBaselines:
@@ -188,12 +184,13 @@ class TestBaselines:
         assert adhoc_codebook(["x", "x", "x"]) == {"x": 1.0}
 
     def test_onehot_basis_vectors(self):
-        m = onehot_encode(["a", "b", "a"])
+        m = onehot_block(["a", "b", "a"])
         assert m.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert m.dtype == np.complex128 and np.all(m.imag == 0)
 
     @given(token_lists)
     def test_onehot_distinct_tokens_sit_sqrt2_apart(self, values):
-        m = onehot_encode(values)
+        m = onehot_block(values)
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
                 d = float(np.linalg.norm(m[i] - m[j]))
@@ -203,7 +200,7 @@ class TestBaselines:
                     assert d == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_onehot_adds_one_axis_per_token(self):
-        m = onehot_encode(["r", "g", "b", "g"])
+        m = onehot_block(["r", "g", "b", "g"])
         assert m.shape == (4, 3)
 
 
@@ -258,7 +255,7 @@ class TestEncodeDataset:
         from complexrank.dataset import AttributeSchema, Dataset
 
         schema = AttributeSchema.from_pairs([("Color", "nominal")])
-        ds = Dataset(schema, tuple((c,) for c in ["r", "g", "b"]))
+        ds = Dataset(schema, (["r", "g", "b"],))
         with pytest.raises(DataError, match="numeric"):
             encode_dataset(ds, EncodeMode.NUMERIC)
 
@@ -266,7 +263,7 @@ class TestEncodeDataset:
         from complexrank.dataset import AttributeSchema, Dataset
 
         schema = AttributeSchema.from_pairs([("x", "numeric")])
-        ds = Dataset(schema, ((1.0,), (2.0,)))
+        ds = Dataset(schema, ([1.0, 2.0],))
         for mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT):
             with pytest.raises(DataError, match="nominal"):
                 encode_dataset(ds, mode)
@@ -384,6 +381,31 @@ class TestSerialization:
         with pytest.raises(DataError, match=message):
             coded_matrix_from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "decision, message",
+        [
+            (["Opel"] * 3, r"decision must be null or one label per row: 10 rows, found 3 labels"),
+            (["Opel"] * 11, r"decision must be null or one label per row: 10 rows, found 11 labels"),
+            ("Opel" * 10, r"decision must be null or one label per row: 10 rows, found str"),
+            ({"Opel": 10}, r"decision must be null or one label per row: 10 rows, found dict"),
+            ([1] * 10, r"decision label at row 1 is not a string: 1"),
+            (["Opel"] * 3 + [None] + ["Opel"] * 6, r"decision label at row 4 is not a string: None"),
+        ],
+        ids=["short", "long", "string", "object", "ints", "null-label"],
+    )
+    def test_bad_decision_rejected_on_read(self, cars, decision, message):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.COMBINED))
+        doc["decision"] = decision
+        with pytest.raises(DataError, match=message):
+            coded_matrix_from_json_dict(doc)
+
+    def test_null_decision_read_as_none(self, cars):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.COMBINED))
+        doc["decision"] = None
+        assert coded_matrix_from_json_dict(doc).decision is None
+        del doc["decision"]
+        assert coded_matrix_from_json_dict(doc).decision is None
+
     def test_int_and_float_subclass_cells_read_exactly(self, cars):
         m = encode_dataset(cars, EncodeMode.COMBINED)
         doc = coded_matrix_to_json_dict(m)
@@ -494,7 +516,7 @@ class TestJsonWriter:
             Column("label", Role.DECISION),
         ))
         rows = [(float(i), odd[i % len(odd)], odd[(i * 3) % len(odd)], odd[i % 3]) for i in range(9)]
-        ds = Dataset(schema, tuple(rows))
+        ds = Dataset(schema, tuple(zip(*rows)))
         for mode in EncodeMode:
             m = encode_dataset(ds, mode)
             for a in (m, standardize(m)):
@@ -526,7 +548,7 @@ def tied_datasets(draw):
         cells += draw(st.lists(st.sampled_from(["a", "b", "c", "g0"]), min_size=extra, max_size=extra))
         columns.append(draw(st.permutations(cells)))
     schema = AttributeSchema(tuple(Column(f"c{i}", r) for i, r in enumerate(roles)))
-    return Dataset(schema, tuple(zip(*columns)))
+    return Dataset(schema, columns)
 
 
 def bits(z: complex) -> tuple[str, str]:

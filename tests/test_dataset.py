@@ -9,12 +9,18 @@ from complexrank.dataset import (
     DataError,
     Dataset,
     Role,
+    cars_csv_path,
     parse_csv,
 )
 
 
 def make_schema(*pairs):
     return AttributeSchema.from_pairs(pairs)
+
+
+def row_tuples(ds):
+    """The rows of a dataset, each a tuple of its cells in schema order."""
+    return tuple(zip(*(ds.column(n) for n in ds.schema.names)))
 
 
 class TestSchema:
@@ -66,7 +72,7 @@ class TestParseCsv:
 
     def test_cells_are_trimmed(self):
         ds = parse_csv("x , y\n 1 , a \n", make_schema(("x", "numeric"), ("y", "nominal")))
-        assert ds.rows[0] == (1.0, "a")
+        assert (ds.column("x")[0], ds.column("y")[0]) == (1.0, "a")
 
     def test_decimal_forms(self):
         ds = parse_csv("x\n-1.5\n+2\n.25\n", make_schema(("x", "numeric")))
@@ -108,11 +114,11 @@ class TestParseCsv:
     @pytest.mark.parametrize("tail", ["\n", "\n\n", "\n \n\t\n", "\r\n\r\n"])
     def test_trailing_blank_lines_are_not_rows(self, tail):
         ds = parse_csv("x,y\n1,a" + tail, make_schema(("x", "numeric"), ("y", "nominal")))
-        assert ds.rows == ((1.0, "a"),)
+        assert row_tuples(ds) == ((1.0, "a"),)
 
     def test_trailing_blank_line_is_not_a_missing_category_row(self):
         ds = parse_csv("y\na\n\n", make_schema(("y", "nominal")), missing_as_category="unknown")
-        assert ds.rows == (("a",),)
+        assert row_tuples(ds) == (("a",),)
 
     def test_inner_blank_line_is_a_row(self):
         ds = parse_csv("y\na\n\nb\n", make_schema(("y", "nominal")), missing_as_category="unknown")
@@ -133,8 +139,14 @@ class TestDataset:
             cars.column("Gearbox")
 
     def test_every_cell_belongs_to_exactly_one_column(self, cars):
-        rebuilt = list(zip(*(cars.column(n) for n in cars.schema.names)))
-        assert tuple(tuple(r) for r in rebuilt) == cars.rows
+        # the rows rebuilt from the columns are the fixture's lines, cell for cell
+        lines = cars_csv_path().read_text(encoding="utf-8").split()[1:]
+        roles = [c.role for c in cars.schema.columns]
+        want = tuple(
+            tuple(float(c) if r is Role.NUMERIC else c for c, r in zip(line.split(","), roles))
+            for line in lines
+        )
+        assert row_tuples(cars) == want
 
     def test_decision_labels(self, cars):
         labels = cars.decision_labels()
@@ -144,7 +156,36 @@ class TestDataset:
     def test_rows_validated_on_construction(self):
         schema = make_schema(("x", "numeric"))
         with pytest.raises(DataError, match="finite"):
-            Dataset(schema, ((math.inf,),))
+            Dataset(schema, ([math.inf],))
+
+    @pytest.mark.parametrize("columns, message", [
+        (([1.0, 2.0],), r"expected 2 columns, found 1: column 2 \('c'\) has none"),
+        (([1.0, 2.0], ["a", "b"], ["z", "z"]), "expected 2 columns, found 3: column 3 has no schema entry"),
+    ])
+    def test_column_count_must_match_schema(self, columns, message):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        with pytest.raises(DataError, match=message):
+            Dataset(schema, columns)
+
+    @pytest.mark.parametrize("tokens", [["a"], ["a", "b", "c"]])
+    def test_columns_must_share_one_length(self, tokens):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        found = len(tokens)
+        with pytest.raises(DataError, match=rf"column 2 \('c'\): expected 2 cells, found {found}"):
+            Dataset(schema, ([1.0, 2.0], tokens))
+
+    def test_first_column_may_not_be_empty(self):
+        with pytest.raises(DataError, match="no rows"):
+            Dataset(make_schema(("x", "numeric"), ("c", "nominal")), ([], []))
+
+    def test_equality_compares_cells(self):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        ds = Dataset(schema, ([1.0, -0.0], ["a", "b"]))
+        assert ds == Dataset(schema, ([1, 0.0], ["a", "b"]))
+        assert ds != Dataset(schema, ([1.0, 0.5], ["a", "b"]))
+        assert ds != Dataset(schema, ([1.0, -0.0], ["a", "a"]))
+        assert ds != Dataset(schema, ([1.0, -0.0], ["b", "a"]))
+        assert ds != Dataset(make_schema(("x", "numeric"), ("d", "nominal")), ([1.0, -0.0], ["a", "b"]))
 
 
 class TestCarsFixture:
@@ -166,7 +207,7 @@ class TestCarsFixture:
 @pytest.mark.parametrize("brk", [",", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
 def test_to_csv_refuses_tokens_parse_csv_would_split(brk):
     schema = make_schema(("x", "numeric"), ("c", "nominal"))
-    ds = Dataset(schema, ((1.0, "ok"), (2.0, f"a{brk}b")))
+    ds = Dataset(schema, ([1.0, 2.0], ["ok", f"a{brk}b"]))
     with pytest.raises(DataError, match=r"row 2, column 2 \('c'\): token .* without quoting"):
         ds.to_csv()
 
@@ -174,7 +215,7 @@ def test_to_csv_refuses_tokens_parse_csv_would_split(brk):
 @pytest.mark.parametrize("token", [" a", "a\t", "\xa0", " "])
 def test_to_csv_refuses_tokens_parse_csv_would_strip(token):
     schema = make_schema(("x", "numeric"), ("c", "nominal"))
-    ds = Dataset(schema, ((1.0, "ok"), (2.0, token)))
+    ds = Dataset(schema, ([1.0, 2.0], ["ok", token]))
     with pytest.raises(DataError, match=r"row 2, column 2 \('c'\): token .* without quoting"):
         ds.to_csv()
 
@@ -188,7 +229,7 @@ csv_token = st.one_of(
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, tokens=csv_token):
     n_cols = draw(st.integers(1, 4))
     names = draw(
         st.lists(simple_token, min_size=n_cols, max_size=n_cols, unique=True)
@@ -196,16 +237,12 @@ def datasets(draw):
     roles = [draw(st.sampled_from([Role.NUMERIC, Role.NOMINAL])) for _ in names]
     schema = AttributeSchema(tuple(Column(n, r) for n, r in zip(names, roles)))
     n_rows = draw(st.integers(1, 6))
-    rows = []
-    for _ in range(n_rows):
-        row = []
-        for role in roles:
-            if role is Role.NUMERIC:
-                row.append(draw(st.integers(-10**9, 10**9)) / 1000)
-            else:
-                row.append(draw(csv_token))
-        rows.append(tuple(row))
-    return Dataset(schema, tuple(rows))
+    numbers = st.integers(-10**9, 10**9).map(lambda i: i / 1000)
+    columns = [
+        draw(st.lists(numbers if role is Role.NUMERIC else tokens, min_size=n_rows, max_size=n_rows))
+        for role in roles
+    ]
+    return Dataset(schema, columns)
 
 
 @given(datasets())
@@ -220,3 +257,20 @@ def test_csv_round_trip_is_stable(ds):
         )
         return
     assert parse_csv(text, ds.schema) == ds
+
+
+@given(datasets(simple_token), st.data())
+def test_one_changed_cell_breaks_equality(ds, data):
+    again = parse_csv(ds.to_csv(), ds.schema)
+    assert again == ds
+    columns = [ds.column(n) for n in ds.schema.names]
+    j = data.draw(st.integers(0, len(columns) - 1), label="column")
+    r = data.draw(st.integers(0, ds.n_rows - 1), label="row")
+    cell = columns[j][r]
+    if isinstance(cell, float):
+        columns[j][r] = data.draw(st.sampled_from([cell + 1.0, cell - 0.001]))
+    else:
+        # another token of the column, or a new one
+        columns[j][r] = data.draw(st.sampled_from(sorted(set(columns[j]) - {cell}) + [cell + "x"]))
+    changed = Dataset(ds.schema, columns)
+    assert changed != again and again != changed

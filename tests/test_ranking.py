@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from complexrank import ranks
 
+from .oracles import loop_ranks
+
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
@@ -39,10 +41,12 @@ def test_empty_rejected():
 
 
 def test_non_finite_rejected():
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite values, got nan$"):
         ranks([1.0, math.nan])
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite values, got inf$"):
         ranks([1.0, math.inf])
+    with pytest.raises(ValueError, match="finite values, got -inf$"):
+        ranks([-math.inf, 2.0, math.nan])
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=50))
@@ -67,7 +71,18 @@ def test_distinct_values_yield_a_permutation(values):
     assert sorted(ranks(values)) == [float(i) for i in range(1, len(values) + 1)]
 
 
-@given(st.lists(finite_floats, min_size=1, max_size=50))
+# few distinct values, so runs of ties are the rule; -0.0 and 0.0 tie
+tie_heavy_floats = st.sampled_from([-1.0, -0.0, 0.0, 2.5])
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=50)
+       | st.lists(tie_heavy_floats, min_size=1, max_size=50))
 def test_matches_library_rankdata(values):
     expected = scipy.stats.rankdata(values, method="average")
     assert ranks(values) == list(expected)
+    assert ranks(values) == loop_ranks(values)
+
+
+def test_extreme_magnitudes_rank_without_overflow(recwarn):
+    assert ranks([1.7e308, -1.7e308, 1.7e308, 5e-324, 0.0]) == [4.5, 1.0, 4.5, 3.0, 2.0]
+    assert not recwarn.list
