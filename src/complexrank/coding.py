@@ -64,6 +64,11 @@ class ComplexRank:
     group_index: int
     group_size: int
 
+    def __post_init__(self) -> None:
+        n, j, k = self.frequency, self.group_index, self.group_size
+        if n < 1 or not 0 <= j < k:
+            raise ValueError(f"(n, j, k) = ({n}, {j}, {k}) needs n >= 1 and 0 <= j < k")
+
     @property
     def rank(self) -> "ComplexRank":
         return self
@@ -74,8 +79,7 @@ class ComplexRank:
 
     @property
     def phase(self) -> float:
-        k = self.group_size
-        return 0.0 if k == 1 else 2.0 * math.pi * self.group_index / k
+        return 2.0 * math.pi * self.group_index / self.group_size
 
     @property
     def value(self) -> complex:
@@ -111,47 +115,32 @@ class NominalCodebook:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NominalCodebook":
-        """Read a codebook back; every stored field must be the one (n, j, k) gives."""
-        attribute = str(doc["attribute"])
-        entries = {}
-        for token, e in doc["entries"].items():
-            n, j, k = int(e["n"]), int(e["j"]), int(e["k"])
-            where = f"codebook {attribute!r}, token {token!r}"
-            if n < 1 or not 0 <= j < k:
-                raise DataError(f"{where}: (n, j, k) = ({n}, {j}, {k}) needs n >= 1 and 0 <= j < k")
-            rank = ComplexRank(n, j, k)
-            for key, want in rank.to_json_dict().items():
-                if e.get(key) != want:
-                    raise DataError(
-                        f"{where}: {key} is {e.get(key)!r}, but (n, j, k) = ({n}, {j}, {k}) "
-                        f"gives {want!r}"
-                    )
-            entries[token] = rank
-        groups: dict[int, list[str]] = {}
-        for token, rank in entries.items():
-            groups.setdefault(rank.frequency, []).append(token)
-        for n, tokens in groups.items():
-            # the tokens seen n times are one tie group: k of them, each
-            # with that k, and with the phase indices 0..k-1
-            k = len(tokens)
-            got = [(entries[t].group_index, entries[t].group_size) for t in tokens]
-            if sorted(got) != [(j, k) for j in range(k)]:
-                raise DataError(
-                    f"codebook {attribute!r}, n = {n}: tokens {', '.join(map(repr, tokens))} "
-                    f"carry (j, k) = {got}, but a tie group of {k} needs k = {k} and j = 0..{k - 1}"
-                )
-        return cls(attribute, entries)
+        """Read a codebook from its counts; each other field must be the derived one."""
+        attribute = _field(doc, "attribute", str, "codebook")
+        where = f"codebook {attribute!r}"
+        stored = _field(doc, "entries", dict, where)
+        if not stored:
+            raise DataError(f"{where} has no entries")
+        counts = []
+        for token, e in stored.items():
+            n = _field(e, "n", int, f"{where}, token {token!r}")
+            if not 0 < n < 2**63:
+                raise DataError(f"{where}, token {token!r}: n is {n}, not a count from 1 to 2**63 - 1")
+            counts.append(n)
+        codebook = _codebook(np.array(counts, dtype=np.int64), list(stored), attribute)
+        for token, entry in codebook.to_json_dict()["entries"].items():
+            _require_same(stored[token], entry, f"{where}, token {token!r}")
+        return codebook
 
 
-def _codebook(codes: np.ndarray, vocabulary: Sequence[str], attribute: str) -> NominalCodebook:
-    """Complex ranks of the tokens in a column of integer codes.
+def _codebook(counts: np.ndarray, vocabulary: Sequence[str], attribute: str) -> NominalCodebook:
+    """Complex ranks of tokens in first-occurrence order, from their counts.
 
     A stable sort by count keeps first-occurrence order inside each tie
     group, and that order is the phase index j.
     """
     if not vocabulary:
         raise ValueError("cannot build a codebook from an empty column")
-    counts = np.bincount(codes, minlength=len(vocabulary))
     _, group, sizes = np.unique(counts, return_inverse=True, return_counts=True)
     order = np.argsort(group, kind="stable")
     j = np.empty_like(order)
@@ -171,7 +160,8 @@ def build_codebook(values: Sequence[str], attribute: str = "") -> NominalCodeboo
     column. The input order therefore matters exactly as much as it does
     for the codes themselves and for nothing else.
     """
-    return _codebook(*factorize(values), attribute)
+    codes, vocabulary = factorize(values)
+    return _codebook(np.bincount(codes), vocabulary, attribute)
 
 
 def adhoc_codebook(values: Sequence[str]) -> dict[str, float]:
@@ -310,7 +300,7 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
             continue
         codes, vocabulary = dataset.codes(col.name)
         if mode in (EncodeMode.COMBINED, EncodeMode.NOMINAL):
-            cb = _codebook(codes, vocabulary, col.name)
+            cb = _codebook(np.bincount(codes), vocabulary, col.name)
             codebooks.append(cb)
             columns.append(CodedColumn(col.name, ColumnSource.COMPLEX_CODED))
             # the entries are in vocabulary order, so a token's code indexes its value
@@ -429,30 +419,116 @@ def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
     return _checked_cells(rows, columns)
 
 
+_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer", (int, float): "a number"}
+
+
+def _field(obj: object, key: str, kind: type | tuple[type, ...], where: str):
+    """obj[key], where obj must be a JSON object and the value a `kind` (a
+    bool is none of them); else a DataError names the field."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} is not an object: {obj!r}")
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"{where}: {key} is {value!r}, not {_KINDS[kind]}")
+    return value
+
+
+def _require_same(stored: dict, derived: dict, where: str, prefix: str = "") -> None:
+    """Refuse a stored JSON object unless each field the writer writes equals
+    the one it derives; the DataError names the first field that differs and
+    both values (None for an absent field). Nested objects are compared the same way."""
+    for key, want in derived.items():
+        got = stored.get(key)
+        if isinstance(got, dict) and isinstance(want, dict):
+            _require_same(got, want, where, f"{prefix}{key}.")
+        elif got != want:
+            raise DataError(f"{where}: {prefix}{key} is {got!r}, expected {want!r}")
+
+
+def _read_column(c: object, i: int) -> CodedColumn:
+    """Column i (1-based) of the "columns" field: a name and a known source."""
+    name = _field(c, "name", str, f"column {i}")
+    if c.get("source") not in [s.value for s in ColumnSource]:
+        raise DataError(f"column {i} ({name!r}): unknown source {c.get('source')!r}")
+    return CodedColumn(name, ColumnSource(c["source"]))
+
+
 def _read_scaling(s: dict, column: str) -> ColumnScaling:
-    """One scaling entry: it must be `column`'s, with a finite mean and a
-    finite, positive sigma."""
-    name = str(s["name"])
-    if name != column:
-        raise DataError(f"scaling entry {name!r} stands where column {column!r} does")
-    # one sigma scales both channels; the JSON keeps the re/im pair
-    re, im = float(s["sigma"]["re"]), float(s["sigma"]["im"])
-    if not all(math.isfinite(v) and v > 0 for v in (re, im)):
-        raise DataError(f"scaling of column {name!r}: sigma ({re!r}, {im!r}) is not finite and positive")
-    if re != im:
-        raise DataError(f"scaling of column {name!r}: sigma re {re!r} and im {im!r} differ")
-    mean = complex(s["mean"]["re"], s["mean"]["im"])
+    """A scaling entry's finite mean and finite, positive sigma (its re half)."""
+    where = f"scaling of column {column!r}"
+    sigma = float(_field(_field(s, "sigma", dict, where), "re", (int, float), f"{where}: sigma"))
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DataError(f"{where}: sigma {sigma!r} is not finite and positive")
+    parts = _field(s, "mean", dict, where)
+    mean = complex(*(_field(parts, key, (int, float), f"{where}: mean") for key in ("re", "im")))
     if not (math.isfinite(mean.real) and math.isfinite(mean.imag)):
-        raise DataError(f"scaling of column {name!r}: mean {mean!r} is not finite")
-    return ColumnScaling(name, mean, re)
+        raise DataError(f"{where}: mean {mean!r} is not finite")
+    return ColumnScaling(column, mean, sigma)
+
+
+def _decoded(cells: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
+    """The index into `values` of each cell; a cell that equals no value is refused."""
+    order = np.argsort(values, kind="stable")
+    codes = order[np.searchsorted(values[order], cells).clip(max=len(values) - 1)]
+    if not np.array_equal(values[codes], cells):
+        r = np.flatnonzero(values[codes] != cells)[0]
+        raise DataError(f"coded cell at row {r + 1}, {where} is {cells[r]}, which no entry of its map gives")
+    return codes
+
+
+def _check_coded_cells(matrix: CodedMatrix) -> None:
+    """Require the cells encode_dataset gives for the matrix's maps.
+
+    Each complex-coded column has one codebook and each ad hoc column one
+    ad hoc map, in column order. Each of their cells is a map value after
+    the column's scaling, each token is first seen in entry order and a
+    codebook token's cell count is its n. Every other cell has im 0.
+    """
+    for source, maps in ((ColumnSource.COMPLEX_CODED, [cb.attribute for cb in matrix.codebooks]),
+                         (ColumnSource.ADHOC_CODED, list(matrix.adhoc_codes))):
+        columns = [c.name for c in matrix.columns if c.source is source]
+        if maps != columns:
+            raise DataError(f"the {source.value} maps are for {maps}, but the {source.value} columns are {columns}")
+    books = iter(matrix.codebooks)
+    for i, col in enumerate(matrix.columns):
+        cells, where = matrix.data[:, i], f"column {i + 1} ({col.name!r})"
+        if col.source is ColumnSource.COMPLEX_CODED:
+            entries = next(books).entries
+            counts = np.array([e.frequency for e in entries.values()])
+            values = np.array([e.value for e in entries.values()])
+        else:
+            if cells.imag.any():
+                r = np.flatnonzero(cells.imag)[0]
+                raise DataError(f"coded cell at row {r + 1}, {where} has im {cells.imag[r]}, not 0")
+            if col.source is not ColumnSource.ADHOC_CODED:
+                continue
+            entries, counts = matrix.adhoc_codes[col.name], None
+            values = np.array(list(entries.values()), dtype=np.complex128)
+        if matrix.scaling is not None:
+            # standardize's arithmetic, so the scaled values match bit for bit
+            values = (values - matrix.scaling[i].mean) / matrix.scaling[i].sigma
+        codes = _decoded(cells, values, where)
+        tokens, found = list(entries), np.bincount(codes, minlength=len(entries))
+        if counts is not None and not np.array_equal(found, counts):
+            t = np.flatnonzero(found != counts)[0]
+            raise DataError(f"{where}, token {tokens[t]!r}: {found[t]} cells, but n is {counts[t]}")
+        # the running maximum of the codes steps by one where a token is first seen
+        seen = np.maximum.accumulate(codes)
+        late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
+        if late.size:
+            r = late[0]
+            missing = tokens[seen[r - 1] + 1 if r else 0]
+            if r == len(codes):
+                raise DataError(f"{where}: token {missing!r} is in no cell")
+            raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
 
 
 def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
-    """Rebuild a coded matrix from its JSON form."""
-    columns = tuple(
-        CodedColumn(str(c["name"]), ColumnSource(c["source"])) for c in doc["columns"]
-    )
-    data = _read_cells(doc["rows"], columns)
+    """Rebuild a coded matrix from the fields that fix it: columns, cells,
+    decision, codebook counts, ad hoc token order, scaling mean and sigma.
+    Every other field must be the one the writer derives from them."""
+    columns = tuple(_read_column(c, i) for i, c in enumerate(_field(doc, "columns", list, "coded matrix"), 1))
+    data = _read_cells(doc.get("rows"), columns)
     decision = doc.get("decision")
     if decision is not None:
         if not isinstance(decision, list) or len(decision) != len(data):
@@ -461,20 +537,22 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         for r, label in enumerate(decision, start=1):
             if not isinstance(label, str):
                 raise DataError(f"decision label at row {r} is not a string: {label!r}")
-        decision = tuple(decision)
-    codebooks = tuple(NominalCodebook.from_json_dict(cb) for cb in doc.get("codebooks", []))
-    adhoc_codes = {
-        name: {t: float(v) for t, v in codes.items()}
-        for name, codes in doc.get("adhoc_codes", {}).items()
-    }
+    codebooks = tuple(NominalCodebook.from_json_dict(cb) for cb in _field(doc, "codebooks", list, "coded matrix"))
+    stored_adhoc = _field(doc, "adhoc_codes", dict, "coded matrix")
+    adhoc_codes = {}
+    for name in stored_adhoc:
+        if not _field(stored_adhoc, name, dict, "ad hoc codes"):
+            raise DataError(f"ad hoc codes: {name} has no tokens")
+        adhoc_codes[name] = adhoc_codebook(stored_adhoc[name])
     scaling = doc.get("scaling")
     if scaling is not None:
+        scaling = _field(doc, "scaling", list, "coded matrix")
         if len(scaling) != len(columns):
             missing = (f"column {columns[len(scaling)].name!r} has none" if len(scaling) < len(columns)
                        else f"entry {len(columns) + 1} has no column")
             raise DataError(f"scaling has {len(scaling)} entries for {len(columns)} columns: {missing}")
         scaling = tuple(_read_scaling(s, c.name) for s, c in zip(scaling, columns))
-    return CodedMatrix(
+    matrix = CodedMatrix(
         columns=columns,
         data=data,
         decision=decision,
@@ -482,3 +560,9 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         adhoc_codes=adhoc_codes,
         scaling=scaling,
     )
+    _, tail = _json_fields(matrix)
+    _require_same(stored_adhoc, tail["adhoc_codes"], "ad hoc codes")
+    for c, stored, derived in zip(columns, doc.get("scaling") or (), tail["scaling"] or ()):
+        _require_same(stored, derived, f"scaling of column {c.name!r}")
+    _check_coded_cells(matrix)
+    return matrix

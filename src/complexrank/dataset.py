@@ -145,6 +145,8 @@ class Dataset:
         stored: list = []
         for j, (col, cells) in enumerate(zip(schema.columns, columns), start=1):
             where = f"column {j} ({col.name!r})"
+            if isinstance(cells, str):
+                raise DataError(f"{where}: expected a sequence of cells, got the string {cells!r}")
             if len(cells) != n_rows:
                 raise DataError(f"{where}: expected {n_rows} cells, found {len(cells)}")
             if col.role is Role.NUMERIC:

@@ -321,28 +321,28 @@ class TestSerialization:
 
         doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.COMBINED)))
         doc["scaling"][2]["sigma"]["im"] += 1e-9
-        with pytest.raises(DataError, match=r"scaling of column 'Color': sigma re .* and im .* differ"):
+        with pytest.raises(DataError, match=r"scaling of column 'Color': sigma\.im is .*, expected "):
             coded_matrix_from_json_dict(doc)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda sc: sc[2].update(sigma={"re": -1, "im": -1}),
-             r"scaling of column 'Color': sigma \(-1.0, -1.0\) is not finite and positive"),
+             r"scaling of column 'Color': sigma -1.0 is not finite and positive"),
             (lambda sc: sc[2].update(mean={"re": math.nan, "im": 0.0}),
              r"scaling of column 'Color': mean .*nan.* is not finite"),
             (lambda sc: sc[2].update(name="Colour"),
-             r"scaling entry 'Colour' stands where column 'Color' does"),
+             r"scaling of column 'Color': name is 'Colour', expected 'Color'"),
             (lambda sc: sc.__delitem__(slice(2, None)),
              r"scaling has 2 entries for 6 columns: column 'Color' has none"),
             (lambda sc: sc.append(sc[0]),
              r"scaling has 7 entries for 6 columns: entry 7 has no column"),
             (lambda sc: sc[0].update(sigma={"re": 0.0, "im": 0.0}),
-             r"scaling of column 'Door': sigma \(0.0, 0.0\) is not finite and positive"),
+             r"scaling of column 'Door': sigma 0.0 is not finite and positive"),
             (lambda sc: sc[0].update(sigma={"re": math.inf, "im": math.inf}),
-             r"scaling of column 'Door': sigma \(inf, inf\) is not finite and positive"),
+             r"scaling of column 'Door': sigma inf is not finite and positive"),
             (lambda sc: sc[0].update(sigma={"re": math.nan, "im": math.nan}),
-             r"scaling of column 'Door': sigma \(nan, nan\) is not finite and positive"),
+             r"scaling of column 'Door': sigma nan is not finite and positive"),
         ],
         ids=["negative-sigma", "nan-mean", "unknown-name", "short-list", "long-list",
              "zero-sigma", "inf-sigma", "nan-sigma"],
@@ -414,8 +414,8 @@ class TestSerialization:
         doc["rows"][0][1] = {"re": np.float64(60.0), "im": 0.0}
         assert coded_matrix_from_json_dict(doc).data.tobytes() == m.data.tobytes()
         big = 2**70 + 12345  # rounds on the way to float64
-        doc["rows"][0][1] = {"re": big, "im": -(2**64) - 3}
-        assert coded_matrix_from_json_dict(doc).data[0, 1] == complex(big, -(2**64) - 3)
+        doc["rows"][0][1] = {"re": big, "im": 0}
+        assert coded_matrix_from_json_dict(doc).data[0, 1] == complex(big, 0)
 
     def test_sources_tagged_per_column(self, cars):
         m = encode_dataset(cars, EncodeMode.COMBINED)
@@ -440,7 +440,7 @@ class TestSerialization:
     def test_out_of_range_n_j_k_rejected_on_read(self, cars, key, value):
         doc = build_codebook(cars.column("Color"), attribute="Color").to_json_dict()
         doc["entries"]["Black"][key] = value
-        with pytest.raises(DataError, match=r"token 'Black'.*needs n >= 1 and 0 <= j < k"):
+        with pytest.raises(DataError, match=rf"codebook 'Color', token 'Black': {key} is {value}"):
             NominalCodebook.from_json_dict(doc)
 
     @pytest.mark.parametrize(
@@ -458,7 +458,9 @@ class TestSerialization:
             "attribute": "Color",
             "entries": {t: ComplexRank(*njk).to_json_dict() for t, njk in entries.items()},
         }
-        with pytest.raises(DataError, match=rf"codebook 'Color', n = 3: tokens {tokens} "):
+        # the first token of the group is the first whose stored entry differs
+        first = tokens.split(", ")[0]
+        with pytest.raises(DataError, match=rf"codebook 'Color', token {first}: (phase|j|k) is "):
             NominalCodebook.from_json_dict(doc)
 
     def test_non_finite_cell_rejected_on_read(self, cars):
@@ -475,6 +477,96 @@ class TestSerialization:
         with pytest.raises(DataError, match="not finite"):
             CodedMatrix((CodedColumn("a", ColumnSource.NUMERIC),
                          CodedColumn("b", ColumnSource.NUMERIC)), data)
+
+
+def swap_cells(rows, a, b, c):
+    """Swap the cells of rows a and b (0-based) in column c."""
+    rows[a][c], rows[b][c] = rows[b][c], rows[a][c]
+
+
+class TestReadBackAgainstCells:
+    """The read-back refuses maps and cells that encode_dataset would not write together.
+
+    In cars, Color holds Blue 3 times (2+0j), Black 3 times (-2+0j) and Red
+    4 times (2.5+0j), first seen in that order.
+    """
+
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("combined", lambda d: d["codebooks"][1].update(attribute="Nope"),
+             r"the complex maps are for \['Color', 'Nope', 'Interior', 'Wheel'\], "
+             r"but the complex columns are \['Color', 'Fuel', 'Interior', 'Wheel'\]"),
+            ("combined", lambda d: d["codebooks"].pop(),
+             r"the complex maps are for \['Color', 'Fuel', 'Interior'\], but the complex columns"),
+            ("adhoc", lambda d: d["adhoc_codes"].pop("Fuel"),
+             r"the adhoc maps are for \['Color', 'Interior', 'Wheel'\], but the adhoc columns"),
+            ("combined", lambda d: d["rows"][0][2].update(re=7.0, im=0.0),
+             r"coded cell at row 1, column 3 \('Color'\) is \(7\+0j\), which no entry of its map gives"),
+            ("adhoc", lambda d: d["rows"][0][2].update(re=9.5),
+             r"coded cell at row 1, column 3 \('Color'\) is \(9.5\+0j\), which no entry of its map gives"),
+            ("adhoc", lambda d: d["adhoc_codes"]["Color"].update(Blue=9.5),
+             r"ad hoc codes: Color\.Blue is 9.5, expected 1.0"),
+            ("combined", lambda d: d["rows"][1][2].update(re=2.5),  # a Black cell becomes Red
+             r"column 3 \('Color'\), token 'Black': 2 cells, but n is 3"),
+            ("combined", lambda d: swap_cells(d["rows"], 0, 1, 2),
+             r"row 1, column 3 \('Color'\): token 'Black' is first seen before 'Blue'"),
+            ("adhoc", lambda d: swap_cells(d["rows"], 0, 1, 2),
+             r"row 1, column 3 \('Color'\): token 'Black' is first seen before 'Blue'"),
+            ("adhoc", lambda d: [row[2].update(re=1.0) for row in d["rows"] if row[2]["re"] == 3.0],
+             r"column 3 \('Color'\): token 'Red' is in no cell"),
+            ("combined", lambda d: d["rows"][4][0].update(im=0.5),
+             r"coded cell at row 5, column 1 \('Door'\) has im 0.5, not 0"),
+            ("adhoc", lambda d: d["rows"][4][3].update(im=-1.0),
+             r"coded cell at row 5, column 4 \('Fuel'\) has im -1.0, not 0"),
+            ("onehot", lambda d: d["rows"][4][2].update(im=1e-300),
+             r"coded cell at row 5, column 3 \('Color=Blue'\) has im 1e-300, not 0"),
+        ],
+        ids=["unknown-codebook", "dropped-codebook", "dropped-adhoc-map", "cell-no-entry-gives",
+             "adhoc-cell-no-code-gives", "adhoc-code-off", "count-not-n", "first-seen-order",
+             "adhoc-first-seen-order", "adhoc-token-in-no-cell", "numeric-im", "adhoc-im", "onehot-im"],
+    )
+    def test_maps_and_cells_must_agree(self, cars, mode, edit, message):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode(mode)))
+        edit(doc)
+        with pytest.raises(DataError, match=message):
+            coded_matrix_from_json_dict(doc)
+
+    def test_scaled_cell_must_be_a_scaled_value(self, cars):
+        doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.COMBINED)))
+        doc["rows"][0][2]["re"] = 2.0  # the unscaled value of Blue
+        with pytest.raises(DataError, match=r"row 1, column 3 \('Color'\) is \(2\+0j\), which no entry"):
+            coded_matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("combined", lambda d: d.pop("columns"), r"coded matrix: columns is None, not a list"),
+            ("combined", lambda d: d["codebooks"].__setitem__(0, ["Color"]),
+             r"codebook is not an object: \['Color'\]"),
+            ("combined", lambda d: d["columns"][2].update(source="polar"),
+             r"column 3 \('Color'\): unknown source 'polar'"),
+            ("combined", lambda d: d["codebooks"][0]["entries"]["Black"].update(n="x"),
+             r"codebook 'Color', token 'Black': n is 'x', not an integer"),
+            ("adhoc", lambda d: d["adhoc_codes"]["Color"].update(Blue="q"),
+             r"ad hoc codes: Color\.Blue is 'q', expected 1.0"),
+            ("combined", lambda d: d["codebooks"][0].update(entries={}), r"codebook 'Color' has no entries"),
+            ("combined", lambda d: d["codebooks"][0]["entries"]["Black"].update(n=2**63),
+             r"codebook 'Color', token 'Black': n is 9223372036854775808, not a count from 1"),
+        ],
+        ids=["missing-columns", "codebook-not-object", "unknown-source", "string-n", "string-adhoc-code",
+             "empty-entries", "n-beyond-int64"],
+    )
+    def test_malformed_document_names_the_field(self, cars, mode, edit, message):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode(mode)))
+        edit(doc)
+        with pytest.raises(DataError, match=message):
+            coded_matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("njk", [(3, 4, 3), (3, -1, 2), (0, 0, 1), (2, 0, 0)])
+    def test_complex_rank_refuses_a_triple_outside_the_range(self, njk):
+        with pytest.raises(ValueError, match=r"needs n >= 1 and 0 <= j < k"):
+            ComplexRank(*njk)
 
 
 class TestJsonWriter:
@@ -615,3 +707,40 @@ class TestArrayPathAgainstOracle:
                 assert b.decision == a.decision
                 assert repr((b.codebooks, b.adhoc_codes, b.scaling)) == repr(
                     (a.codebooks, a.adhoc_codes, a.scaling))
+
+    @given(tied_datasets())
+    def test_read_back_inverts_to_the_nominal_columns(self, ds):
+        nominal = {c.name: ds.column(c.name) for c in ds.schema.columns if c.role is Role.NOMINAL}
+        if not nominal:
+            return
+        for mode in (EncodeMode.COMBINED, EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT):
+            m = encode_dataset(ds, mode)
+            matrices = [m]
+            try:
+                matrices.append(standardize(m))
+            except DataError:  # fewer than 2 rows or a constant column
+                pass
+            for a in matrices:
+                b = coded_matrix_from_json_dict(json.loads(coded_matrix_to_json(a, mode)))
+                assert {name: decoded_tokens(b, name) for name in nominal} == nominal
+
+
+def decoded_tokens(m: CodedMatrix, name: str) -> list[str]:
+    """A nominal column's tokens, read off the cells of a coded matrix.
+
+    A complex or ad hoc cell gives the token whose (scaled) map value lies
+    nearest; a one-hot block gives the token of its largest cell.
+    """
+    names = list(m.column_names)
+    if name not in names:  # one-hot: the block of columns "name=token"
+        block = [i for i, n in enumerate(names) if n.startswith(f"{name}=")]
+        tokens = [names[i][len(name) + 1:] for i in block]
+        return [tokens[i] for i in np.argmax(m.data[:, block].real, axis=1)]
+    i = names.index(name)
+    codes = m.adhoc_codes.get(name) or next(
+        {t: e.value for t, e in cb.entries.items()} for cb in m.codebooks if cb.attribute == name)
+    values = np.array(list(codes.values()), dtype=complex)
+    if m.scaling is not None:
+        values = (values - m.scaling[i].mean) / m.scaling[i].sigma
+    nearest = np.argmin(np.abs(m.data[:, i, None] - values[None, :]), axis=1)
+    return [list(codes)[k] for k in nearest]

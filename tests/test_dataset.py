@@ -174,6 +174,11 @@ class TestDataset:
         with pytest.raises(DataError, match=rf"column 2 \('c'\): expected 2 cells, found {found}"):
             Dataset(schema, ([1.0, 2.0], tokens))
 
+    def test_string_column_is_refused(self):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        with pytest.raises(DataError, match=r"column 2 \('c'\): expected a sequence of cells, got the string 'abc'"):
+            Dataset(schema, [[1.0, 2.0, 3.0], "abc"])
+
     def test_first_column_may_not_be_empty(self):
         with pytest.raises(DataError, match="no rows"):
             Dataset(make_schema(("x", "numeric"), ("c", "nominal")), ([], []))
