@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cluster import kmeans, purity_accuracy, run_experiment
+from .cluster import DEFAULT_CONDITIONS, kmeans, purity_accuracy, run_experiment
 from .coding import (
     CodedMatrix,
     EncodeMode,
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode = sub.add_parser("encode", help="code a dataset into a complex matrix")
     add_io(p_encode, schema_required=True)
     p_encode.add_argument("--mode", type=_mode, default=EncodeMode.COMBINED,
-                          help="combined|complex|numeric|nominal|adhoc|onehot")
+                          help="|".join(m.value for m in EncodeMode))
     fmt = p_encode.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="print the JSON document (default)")
     fmt.add_argument("--table", action="store_true", help="print a readable table instead")
@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--conditions",
         type=_conditions,
-        default=list(EncodeMode(m) for m in ("adhoc", "numeric", "nominal", "combined")),
-        help="comma-separated encode modes (default: adhoc,numeric,nominal,combined)",
+        default=list(DEFAULT_CONDITIONS),
+        help=f"comma-separated encode modes (default: {','.join(m.value for m in DEFAULT_CONDITIONS)})",
     )
     p_exp.add_argument("--json", action="store_true", help="print the JSON report instead of the table")
 

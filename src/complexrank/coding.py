@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Role, factorize
+from .dataset import DataError, Dataset, Role, factorize, read_enum, read_field, read_numbers
 
 
 def base_rank(n: int) -> float:
@@ -116,14 +116,14 @@ class NominalCodebook:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NominalCodebook":
         """Read a codebook from its counts; each other field must be the derived one."""
-        attribute = _field(doc, "attribute", str, "codebook")
+        attribute = read_field(doc, "attribute", str, "codebook")
         where = f"codebook {attribute!r}"
-        stored = _field(doc, "entries", dict, where)
+        stored = read_field(doc, "entries", dict, where)
         if not stored:
             raise DataError(f"{where} has no entries")
         counts = []
         for token, e in stored.items():
-            n = _field(e, "n", int, f"{where}, token {token!r}")
+            n = read_field(e, "n", int, f"{where}, token {token!r}")
             if not 0 < n < 2**63:
                 raise DataError(f"{where}, token {token!r}: n is {n}, not a count from 1 to 2**63 - 1")
             counts.append(n)
@@ -377,60 +377,29 @@ def coded_matrix_to_json(matrix: CodedMatrix, mode: EncodeMode) -> str:
     return f'{before},\n  "rows": {rows},\n{after}\n'
 
 
-def _checked_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
-    """Cell by cell: every cell must be {"re": number, "im": number}."""
-    data = np.empty((len(rows), len(columns)), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        for c, cell in enumerate(row):
-            where = f"coded cell at row {r + 1}, column {c + 1} ({columns[c].name!r})"
-            if not isinstance(cell, dict) or not {"re", "im"} <= cell.keys():
-                raise DataError(f"{where} is not a re/im pair: {cell!r}")
-            for key in ("re", "im"):
-                if isinstance(cell[key], bool) or not isinstance(cell[key], (int, float)):
-                    raise DataError(f"{where}: {key} {cell[key]!r} is not a number")
-            try:
-                data[r, c] = complex(float(cell["re"]), float(cell["im"]))
-            except OverflowError:
-                raise DataError(f"{where} does not fit a float") from None
-    return data
-
-
 def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
-    """The (rows, columns) complex array of the "rows" field.
+    """The (rows, columns) complex array of the "rows" list.
 
-    Each row holds one cell per column, and each cell's re and im are an
-    int or a float, never a bool; else DataError names the row and column.
-    Plain documents take one gather into a float64 array; anything else
-    is checked cell by cell.
+    Each row holds one cell per column, and each cell is a re/im pair of
+    numbers; else DataError names the row and column.
     """
-    if not isinstance(rows, list):
-        raise DataError(f"coded rows must be a list, got {type(rows).__name__}")
     width = len(columns)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
             found = f"{len(row)} cells" if isinstance(row, list) else type(row).__name__
             raise DataError(f"coded row {r + 1} must hold {width} cells, found {found}")
+
+    def where(i: int) -> str:
+        r, c = divmod(i, width)
+        return f"coded cell at row {r + 1}, column {c + 1} ({columns[c].name!r})"
     try:
         values = list(chain.from_iterable(map(itemgetter("re", "im"), chain.from_iterable(rows))))
-        if {float, int}.issuperset(map(type, values)):
-            return np.array(values, dtype=np.float64).view(np.complex128).reshape(len(rows), width)
-    except (KeyError, TypeError, OverflowError):
-        pass
-    return _checked_cells(rows, columns)
-
-
-_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer", (int, float): "a number"}
-
-
-def _field(obj: object, key: str, kind: type | tuple[type, ...], where: str):
-    """obj[key], where obj must be a JSON object and the value a `kind` (a
-    bool is none of them); else a DataError names the field."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{where} is not an object: {obj!r}")
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DataError(f"{where}: {key} is {value!r}, not {_KINDS[kind]}")
-    return value
+    except (KeyError, TypeError):
+        cells = enumerate(chain.from_iterable(rows))
+        i, cell = next((i, c) for i, c in cells if not isinstance(c, dict) or not {"re", "im"} <= c.keys())
+        raise DataError(f"{where(i)} is not a re/im pair: {cell!r}") from None
+    data = read_numbers(values, lambda i: f"{where(i // 2)}, {('re', 'im')[i % 2]}")
+    return data.view(np.complex128).reshape(len(rows), width)
 
 
 def _require_same(stored: dict, derived: dict, where: str, prefix: str = "") -> None:
@@ -445,25 +414,17 @@ def _require_same(stored: dict, derived: dict, where: str, prefix: str = "") -> 
             raise DataError(f"{where}: {prefix}{key} is {got!r}, expected {want!r}")
 
 
-def _read_column(c: object, i: int) -> CodedColumn:
-    """Column i (1-based) of the "columns" field: a name and a known source."""
-    name = _field(c, "name", str, f"column {i}")
-    if c.get("source") not in [s.value for s in ColumnSource]:
-        raise DataError(f"column {i} ({name!r}): unknown source {c.get('source')!r}")
-    return CodedColumn(name, ColumnSource(c["source"]))
-
-
 def _read_scaling(s: dict, column: str) -> ColumnScaling:
     """A scaling entry's finite mean and finite, positive sigma (its re half)."""
     where = f"scaling of column {column!r}"
-    sigma = float(_field(_field(s, "sigma", dict, where), "re", (int, float), f"{where}: sigma"))
+    mean, sigma = read_field(s, "mean", dict, where), read_field(s, "sigma", dict, where)
+    re, im, sigma = read_numbers([mean.get("re"), mean.get("im"), sigma.get("re")],
+                                 lambda i: f"{where}, {('mean.re', 'mean.im', 'sigma.re')[i]}").tolist()
     if not (math.isfinite(sigma) and sigma > 0):
         raise DataError(f"{where}: sigma {sigma!r} is not finite and positive")
-    parts = _field(s, "mean", dict, where)
-    mean = complex(*(_field(parts, key, (int, float), f"{where}: mean") for key in ("re", "im")))
-    if not (math.isfinite(mean.real) and math.isfinite(mean.imag)):
-        raise DataError(f"{where}: mean {mean!r} is not finite")
-    return ColumnScaling(column, mean, sigma)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise DataError(f"{where}: mean {complex(re, im)!r} is not finite")
+    return ColumnScaling(column, complex(re, im), sigma)
 
 
 def _decoded(cells: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
@@ -476,20 +437,36 @@ def _decoded(cells: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
     return codes
 
 
+def _first_seen(codes: np.ndarray, tokens: list[str], where: str) -> None:
+    """Require each token to be first seen in `tokens` order, and in some cell."""
+    # the running maximum of the codes steps by one where a token is first seen
+    seen = np.maximum.accumulate(codes)
+    late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
+    if late.size:
+        r = late[0]
+        missing = tokens[seen[r - 1] + 1 if r else 0]
+        if r == len(codes):
+            raise DataError(f"{where}: token {missing!r} is in no cell")
+        raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
+
+
 def _check_coded_cells(matrix: CodedMatrix) -> None:
     """Require the cells encode_dataset gives for the matrix's maps.
 
     Each complex-coded column has one codebook and each ad hoc column one
     ad hoc map, in column order. Each of their cells is a map value after
     the column's scaling, each token is first seen in entry order and a
-    codebook token's cell count is its n. Every other cell has im 0.
+    codebook token's cell count is its n. Every other cell has im 0, and so
+    has its scaling mean. A one-hot cell is the scaled 0 or 1; each row of
+    a one-hot block holds one 1, and the block's columns are first seen in
+    column order.
     """
     for source, maps in ((ColumnSource.COMPLEX_CODED, [cb.attribute for cb in matrix.codebooks]),
                          (ColumnSource.ADHOC_CODED, list(matrix.adhoc_codes))):
         columns = [c.name for c in matrix.columns if c.source is source]
         if maps != columns:
             raise DataError(f"the {source.value} maps are for {maps}, but the {source.value} columns are {columns}")
-    books = iter(matrix.codebooks)
+    books, blocks = iter(matrix.codebooks), []
     for i, col in enumerate(matrix.columns):
         cells, where = matrix.data[:, i], f"column {i + 1} ({col.name!r})"
         if col.source is ColumnSource.COMPLEX_CODED:
@@ -500,35 +477,54 @@ def _check_coded_cells(matrix: CodedMatrix) -> None:
             if cells.imag.any():
                 r = np.flatnonzero(cells.imag)[0]
                 raise DataError(f"coded cell at row {r + 1}, {where} has im {cells.imag[r]}, not 0")
-            if col.source is not ColumnSource.ADHOC_CODED:
+            if matrix.scaling is not None and matrix.scaling[i].mean.imag:
+                raise DataError(f"scaling of {where}: mean.im is {matrix.scaling[i].mean.imag}, not 0")
+            if col.source is ColumnSource.NUMERIC:
                 continue
-            entries, counts = matrix.adhoc_codes[col.name], None
-            values = np.array(list(entries.values()), dtype=np.complex128)
+            if col.source is ColumnSource.ADHOC_CODED:
+                entries, counts = matrix.adhoc_codes[col.name], None
+                values = np.array(list(entries.values()), dtype=np.complex128)
+            else:
+                values = np.array([0, 1], dtype=np.complex128)
         if matrix.scaling is not None:
-            # standardize's arithmetic, so the scaled values match bit for bit
-            values = (values - matrix.scaling[i].mean) / matrix.scaling[i].sigma
+            # standardize's arithmetic, so the scaled values match bit for bit; a
+            # value that overflows is not finite and so matches no cell
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = (values - matrix.scaling[i].mean) / matrix.scaling[i].sigma
         codes = _decoded(cells, values, where)
+        if col.source is ColumnSource.ONE_HOT:
+            # row 1's token is always first seen, so a block starts at a column hot
+            # in row 1 or after another source (with no rows, at each column)
+            if not blocks or codes[:1].all() or matrix.columns[i - 1].source is not ColumnSource.ONE_HOT:
+                blocks.append([])
+            blocks[-1].append((i, codes))
+            continue
         tokens, found = list(entries), np.bincount(codes, minlength=len(entries))
         if counts is not None and not np.array_equal(found, counts):
             t = np.flatnonzero(found != counts)[0]
             raise DataError(f"{where}, token {tokens[t]!r}: {found[t]} cells, but n is {counts[t]}")
-        # the running maximum of the codes steps by one where a token is first seen
-        seen = np.maximum.accumulate(codes)
-        late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
-        if late.size:
-            r = late[0]
-            missing = tokens[seen[r - 1] + 1 if r else 0]
-            if r == len(codes):
-                raise DataError(f"{where}: token {missing!r} is in no cell")
-            raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
+        _first_seen(codes, tokens, where)
+    for block in blocks:
+        (a, _), (b, _) = block[0], block[-1]
+        where = f"one-hot columns {a + 1} ({matrix.columns[a].name!r}) to {b + 1} ({matrix.columns[b].name!r})"
+        hot = np.column_stack([codes for _, codes in block])
+        ones = hot.sum(axis=1)
+        if (ones != 1).any():
+            r = np.flatnonzero(ones != 1)[0]
+            raise DataError(f"row {r + 1}, {where}: {ones[r]} hot cells, not 1")
+        _first_seen(hot.argmax(axis=1), [matrix.columns[i].name for i, _ in block], where)
 
 
 def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
     """Rebuild a coded matrix from the fields that fix it: columns, cells,
     decision, codebook counts, ad hoc token order, scaling mean and sigma.
     Every other field must be the one the writer derives from them."""
-    columns = tuple(_read_column(c, i) for i, c in enumerate(_field(doc, "columns", list, "coded matrix"), 1))
-    data = _read_cells(doc.get("rows"), columns)
+    columns = []
+    for i, c in enumerate(read_field(doc, "columns", list, "coded matrix"), start=1):
+        name = read_field(c, "name", str, f"column {i}")
+        columns.append(CodedColumn(name, read_enum(c, "source", ColumnSource, f"column {i} ({name!r})")))
+    columns = tuple(columns)
+    data = _read_cells(read_field(doc, "rows", list, "coded matrix"), columns)
     decision = doc.get("decision")
     if decision is not None:
         if not isinstance(decision, list) or len(decision) != len(data):
@@ -537,16 +533,16 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         for r, label in enumerate(decision, start=1):
             if not isinstance(label, str):
                 raise DataError(f"decision label at row {r} is not a string: {label!r}")
-    codebooks = tuple(NominalCodebook.from_json_dict(cb) for cb in _field(doc, "codebooks", list, "coded matrix"))
-    stored_adhoc = _field(doc, "adhoc_codes", dict, "coded matrix")
+    codebooks = tuple(NominalCodebook.from_json_dict(cb) for cb in read_field(doc, "codebooks", list, "coded matrix"))
+    stored_adhoc = read_field(doc, "adhoc_codes", dict, "coded matrix")
     adhoc_codes = {}
     for name in stored_adhoc:
-        if not _field(stored_adhoc, name, dict, "ad hoc codes"):
+        if not read_field(stored_adhoc, name, dict, "ad hoc codes"):
             raise DataError(f"ad hoc codes: {name} has no tokens")
         adhoc_codes[name] = adhoc_codebook(stored_adhoc[name])
     scaling = doc.get("scaling")
     if scaling is not None:
-        scaling = _field(doc, "scaling", list, "coded matrix")
+        scaling = read_field(doc, "scaling", list, "coded matrix")
         if len(scaling) != len(columns):
             missing = (f"column {columns[len(scaling)].name!r} has none" if len(scaling) < len(columns)
                        else f"entry {len(columns) + 1} has no column")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +27,45 @@ _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 
 class DataError(ValueError):
     """Input data violates its schema or the expected file format."""
+
+
+_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def read_field(obj: object, key: str, kind: type, where: str):
+    """obj[key] of outside JSON, where obj must be an object and the value a
+    `kind` (a bool is no integer); else a DataError names the field."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} is not an object: {reprlib.repr(obj)}")
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"{where}: {key} is {reprlib.repr(value)}, not {_KINDS[kind]}")
+    return value
+
+
+def read_enum(obj: object, key: str, kind: type[Enum], where: str) -> Enum:
+    """The member of the string enum `kind` named by obj[key]; else a
+    DataError names the field and the choices."""
+    value = read_field(obj, key, str, where)
+    if value not in {m.value for m in kind}:
+        raise DataError(f"{where}: unknown {key} {value!r} (expected one of: {', '.join(m.value for m in kind)})")
+    return kind(value)
+
+
+def read_numbers(values: Sequence, where: Callable[[int], str]) -> np.ndarray:
+    """The float64 array of numbers from outside the program: ints or floats
+    or subclasses of them, never bools, the ints within float range; else a
+    DataError names where(i) of the first value that is not. The types are
+    tested once per distinct type, so good input takes one conversion."""
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))):
+        i, v = next((i, v) for i, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, (int, float)))
+        raise DataError(f"{where(i)}: expected a number, got {reprlib.repr(v)}")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        # 2**1024 - 2**970 is the least int that float() rounds past the largest float
+        i, v = next((i, v) for i, v in enumerate(values) if isinstance(v, int) and abs(v) >= 2**1024 - 2**970)
+        raise DataError(f"{where(i)}: an int of {v.bit_length()} bits does not fit a float") from None
 
 
 class Role(Enum):
@@ -50,7 +90,7 @@ class AttributeSchema:
         object.__setattr__(self, "columns", tuple(self.columns))
         names = [c.name for c in self.columns]
         for n in names:
-            if not _fits_cell(n):
+            if not isinstance(n, str) or not _fits_cell(n):
                 raise DataError(f"bad column name: {n!r}")
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
@@ -70,23 +110,12 @@ class AttributeSchema:
         """Load a schema from its JSON form: {"columns": [{"name", "role"}, ...]}."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise DataError(f"schema is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
-            raise DataError('schema JSON must be an object with a "columns" list')
-        pairs = []
-        for i, entry in enumerate(doc["columns"]):
-            if not isinstance(entry, dict) or "name" not in entry or "role" not in entry:
-                raise DataError(f'schema column {i} needs "name" and "role"')
-            try:
-                role = Role(entry["role"])
-            except ValueError:
-                raise DataError(
-                    f"schema column {i}: unknown role {entry['role']!r} "
-                    f"(expected one of: numeric, nominal, decision)"
-                ) from None
-            pairs.append((str(entry["name"]), role))
-        return cls.from_pairs(pairs)
+        return cls(tuple(
+            Column(read_field(c, "name", str, f"schema column {i}"), read_enum(c, "role", Role, f"schema column {i}"))
+            for i, c in enumerate(read_field(doc, "columns", list, "schema"), start=1)
+        ))
 
     def to_json(self) -> str:
         doc = {"columns": [{"name": c.name, "role": c.role.value} for c in self.columns]}
@@ -150,11 +179,7 @@ class Dataset:
             if len(cells) != n_rows:
                 raise DataError(f"{where}: expected {n_rows} cells, found {len(cells)}")
             if col.role is Role.NUMERIC:
-                if not set(map(type, cells)) <= {float, int}:
-                    for r, v in enumerate(cells, start=1):
-                        if isinstance(v, bool) or not isinstance(v, (int, float)):
-                            raise DataError(f"row {r}, {where}: expected a number, got {v!r}")
-                values = np.asarray(cells, dtype=np.float64)
+                values = read_numbers(cells, lambda r: f"row {r + 1}, {where}")
                 bad = np.flatnonzero(~np.isfinite(values))
                 if bad.size:
                     raise DataError(f"row {bad[0] + 1}, {where}: number must be finite")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode
-from complexrank.cli import format_complex, main
+from complexrank.cli import build_parser, format_complex, main
+from complexrank.cluster import DEFAULT_CONDITIONS
 from complexrank.dataset import cars_csv_path, cars_schema_path
 
 from .oracles import reference_encode_json
@@ -362,6 +363,12 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--conditions", ","])
         assert exc.value.code == 1
+
+    def test_default_conditions_are_the_library_default(self, capsys):
+        assert build_parser().parse_args(["experiment"]).conditions == list(DEFAULT_CONDITIONS)
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        assert "(default: adhoc,numeric,nominal,combined)" in " ".join(capsys.readouterr().out.split())
 
 
 class TestTopLevel:

@@ -343,9 +343,19 @@ class TestSerialization:
              r"scaling of column 'Door': sigma inf is not finite and positive"),
             (lambda sc: sc[0].update(sigma={"re": math.nan, "im": math.nan}),
              r"scaling of column 'Door': sigma nan is not finite and positive"),
+            (lambda sc: sc[0]["mean"].update(re=10**400),
+             r"scaling of column 'Door', mean\.re: an int of 1329 bits does not fit a float"),
+            (lambda sc: sc[0]["sigma"].update(re=-(10**400)),
+             r"scaling of column 'Door', sigma\.re: an int of 1329 bits does not fit a float"),
+            # the scaled map values overflow; a value that is not finite matches no cell
+            (lambda sc: sc[2].update(mean={**sc[2]["mean"], "re": 1e308}, sigma={"re": 0.5, "im": 0.5}),
+             r"coded cell at row 1, column 3 \('Color'\) is .*, which no entry of its map gives"),
+            (lambda sc: sc[2].update(sigma={"re": 1e-320, "im": 1e-320}),
+             r"coded cell at row 1, column 3 \('Color'\) is .*, which no entry of its map gives"),
         ],
         ids=["negative-sigma", "nan-mean", "unknown-name", "short-list", "long-list",
-             "zero-sigma", "inf-sigma", "nan-sigma"],
+             "zero-sigma", "inf-sigma", "nan-sigma", "huge-int-mean", "huge-int-sigma",
+             "overflowing-mean", "subnormal-sigma"],
     )
     def test_bad_scaling_entry_rejected_on_read(self, cars, edit, message):
         doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.COMBINED)))
@@ -360,17 +370,17 @@ class TestSerialization:
             (lambda rows: rows[0].append(rows[0][0]), r"coded row 1 must hold 6 cells, found 7 cells"),
             (lambda rows: rows.__setitem__(2, None), r"coded row 3 must hold 6 cells, found NoneType"),
             (lambda rows: rows[3][1].update(re="100"),
-             r"coded cell at row 4, column 2 \('Power'\): re '100' is not a number"),
+             r"coded cell at row 4, column 2 \('Power'\), re: expected a number, got '100'"),
             (lambda rows: rows[3][1].update(re=True),
-             r"coded cell at row 4, column 2 \('Power'\): re True is not a number"),
+             r"coded cell at row 4, column 2 \('Power'\), re: expected a number, got True"),
             (lambda rows: rows[9][5].update(im=False),
-             r"coded cell at row 10, column 6 \('Wheel'\): im False is not a number"),
+             r"coded cell at row 10, column 6 \('Wheel'\), im: expected a number, got False"),
             (lambda rows: rows[3][1].pop("im"),
              r"coded cell at row 4, column 2 \('Power'\) is not a re/im pair"),
             (lambda rows: rows[3].__setitem__(1, [100.0, 0.0]),
              r"coded cell at row 4, column 2 \('Power'\) is not a re/im pair"),
             (lambda rows: rows[3][1].update(re=10**400),
-             r"coded cell at row 4, column 2 \('Power'\) does not fit a float"),
+             r"coded cell at row 4, column 2 \('Power'\), re: an int of 1329 bits does not fit a float"),
         ],
         ids=["short-row", "long-row", "null-row", "string-re", "true-re", "false-im",
              "missing-im", "list-cell", "huge-int"],
@@ -521,10 +531,21 @@ class TestReadBackAgainstCells:
              r"coded cell at row 5, column 4 \('Fuel'\) has im -1.0, not 0"),
             ("onehot", lambda d: d["rows"][4][2].update(im=1e-300),
              r"coded cell at row 5, column 3 \('Color=Blue'\) has im 1e-300, not 0"),
+            # row 1 (Blue) gains a second 1, so Color=Black starts a block of its own
+            ("onehot", lambda d: d["rows"][0][3].update(re=1.0),
+             r"row 2, one-hot columns 3 \('Color=Blue'\) to 3 \('Color=Blue'\): 0 hot cells, not 1"),
+            ("onehot", lambda d: d["rows"][4][4].update(re=0.0),  # row 5 is Red
+             r"row 5, one-hot columns 3 \('Color=Blue'\) to 5 \('Color=Red'\): 0 hot cells, not 1"),
+            ("onehot", lambda d: d["rows"][0][2].update(re=0.5),
+             r"coded cell at row 1, column 3 \('Color=Blue'\) is \(0.5\+0j\), which no entry"),
+            ("onehot", lambda d: [swap_cells(d["rows"], 1, 3, c) for c in (2, 3, 4)],  # Red before Black
+             r"row 2, one-hot columns 3 \('Color=Blue'\) to 5 \('Color=Red'\): "
+             r"token 'Color=Red' is first seen before 'Color=Black'"),
         ],
         ids=["unknown-codebook", "dropped-codebook", "dropped-adhoc-map", "cell-no-entry-gives",
              "adhoc-cell-no-code-gives", "adhoc-code-off", "count-not-n", "first-seen-order",
-             "adhoc-first-seen-order", "adhoc-token-in-no-cell", "numeric-im", "adhoc-im", "onehot-im"],
+             "adhoc-first-seen-order", "adhoc-token-in-no-cell", "numeric-im", "adhoc-im", "onehot-im",
+             "onehot-two-hot", "onehot-no-hot", "onehot-not-0-or-1", "onehot-first-seen-order"],
     )
     def test_maps_and_cells_must_agree(self, cars, mode, edit, message):
         doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode(mode)))
@@ -536,6 +557,25 @@ class TestReadBackAgainstCells:
         doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.COMBINED)))
         doc["rows"][0][2]["re"] = 2.0  # the unscaled value of Blue
         with pytest.raises(DataError, match=r"row 1, column 3 \('Color'\) is \(2\+0j\), which no entry"):
+            coded_matrix_from_json_dict(doc)
+
+    def test_scaled_onehot_row_must_hold_one_hot_cell(self, cars):
+        doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode.ONEHOT)))
+        doc["rows"][0][3] = doc["rows"][1][3]  # row 2 is Black: its scaled 1
+        with pytest.raises(DataError, match=r"row 2, one-hot columns 3 \('Color=Blue'\) to 3 .*: 0 hot cells"):
+            coded_matrix_from_json_dict(doc)
+
+    def test_onehot_column_without_rows_is_refused(self, cars):
+        doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.ONEHOT))
+        doc.update(rows=[], decision=None)
+        with pytest.raises(DataError, match=r"one-hot columns 3 \('Color=Blue'\) to 3 .*: token 'Color=Blue' is in no cell"):
+            coded_matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("mode, i, name", [("combined", 0, "Door"), ("adhoc", 2, "Color"), ("onehot", 4, "Color=Red")])
+    def test_real_column_scaling_mean_has_no_im(self, cars, mode, i, name):
+        doc = coded_matrix_to_json_dict(standardize(encode_dataset(cars, EncodeMode(mode))))
+        doc["scaling"][i]["mean"]["im"] = 0.5
+        with pytest.raises(DataError, match=rf"scaling of column {i + 1} \('{name}'\): mean\.im is 0.5, not 0"):
             coded_matrix_from_json_dict(doc)
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,23 @@ class TestSchema:
     def test_unknown_role_rejected(self):
         with pytest.raises(DataError, match="role"):
             AttributeSchema.from_json('{"columns": [{"name": "a", "role": "float"}]}')
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"columns": [{"name": null, "role": "numeric"}]}', r"schema column 1: name is None, not a string"),
+        ('{"columns": [{"name": 5, "role": "numeric"}]}', r"schema column 1: name is 5, not a string"),
+        ('{"columns": [{"name": "a", "role": "numeric", "size": 1' + "0" * 5000 + '}]}',
+         r"schema is not valid JSON: Exceeds the limit"),
+        ("[" * 100_000, r"schema is not valid JSON: maximum recursion depth exceeded"),
+        # the value is shown cut short, not the whole object
+        (json.dumps({"columns": {str(i): i for i in range(1000)}}), r"schema: columns is \{'0': 0, .*\.\.\.\}, not a list$"),
+    ], ids=["null-name", "int-name", "int-beyond-str-digits", "deep-nesting", "columns-object"])
+    def test_malformed_schema_json_is_a_data_error(self, text, message):
+        with pytest.raises(DataError, match=message):
+            AttributeSchema.from_json(text)
+
+    def test_non_string_name_is_a_bad_column_name(self):
+        with pytest.raises(DataError, match="bad column name: 5"):
+            AttributeSchema((Column(5, Role.NUMERIC),))
 
 
 class TestParseCsv:
@@ -152,6 +171,23 @@ class TestDataset:
         labels = cars.decision_labels()
         assert len(labels) == 10
         assert set(labels) == {"Opel", "Nissan", "Ferrari"}
+
+    @pytest.mark.parametrize("cells, message", [
+        ([10**400, 1.0], r"row 1, column 1 \('x'\): an int of 1329 bits does not fit a float"),
+        ([1.0, -(2**1024) + 2**970], r"row 2, column 1 \('x'\): an int of 1024 bits does not fit a float"),
+        ([1.0, True], r"row 2, column 1 \('x'\): expected a number, got True"),
+        ([1.0, "2"], r"row 2, column 1 \('x'\): expected a number, got '2'"),
+    ], ids=["huge-int", "least-int-beyond-range", "bool", "string"])
+    def test_numeric_cell_must_be_a_number_within_float_range(self, cells, message):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        with pytest.raises(DataError, match=message):
+            Dataset(schema, [cells, ["a", "b"]])
+
+    def test_float_subclass_and_largest_fitting_int_are_read(self):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        largest = 2**1024 - 2**970 - 1  # rounds down to the largest float
+        ds = Dataset(schema, [[np.float64(0.5), largest], ["a", "b"]])
+        assert ds.column("x") == [0.5, 1.7976931348623157e308]
 
     def test_rows_validated_on_construction(self):
         schema = make_schema(("x", "numeric"))
