@@ -26,6 +26,7 @@ from .dataset import (
     Role,
     cars_csv_path,
     cars_schema_path,
+    csv_header,
     parse_csv,
 )
 from .ranking import ranks
@@ -44,24 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, message: str):
+    """An argparse type for integers >= low; `message` formats a smaller one."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
-    return value
+_positive_int = _int_at_least(1, "expected a positive integer, got {}")
+_seed = _int_at_least(0, "seed must be non-negative, got {}")
 
 
 def _mode(text: str) -> EncodeMode:
@@ -143,8 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(args, schema: AttributeSchema) -> Dataset:
+def _load_dataset(args, column: str | None = None) -> Dataset:
+    """Parse --input against --schema. Without one (only rank allows that) the
+    header names the columns: `column` is numeric and all others nominal."""
+    schema = None if args.schema is None else AttributeSchema.from_json(_read_text(args.schema))
     text = _read_text(args.input)
+    if schema is None:
+        roles = [(name, Role.NUMERIC if name == column else Role.NOMINAL) for name in csv_header(text)]
+        schema = AttributeSchema.from_pairs(roles)
     return parse_csv(text, schema, missing_as_category=args.missing_as_category)
 
 
@@ -153,16 +157,6 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _load_schema(path: Path) -> AttributeSchema:
-    return AttributeSchema.from_json(_read_text(path))
-
-
-def _emit(args, text: str, json_text: str | None) -> None:
-    sys.stdout.write(text)
-    if getattr(args, "output", None) and json_text is not None:
-        args.output.write_text(json_text, encoding="utf-8")
 
 
 def _format_real(v: float) -> str:
@@ -178,26 +172,13 @@ def format_complex(z: complex) -> str:
     return f"{_format_real(z.real)}{sign}{_format_real(abs(z.imag))}i"
 
 
-def cmd_rank(args) -> int:
-    schema = _load_schema(args.schema) if args.schema is not None else None
-    text = _read_text(args.input)
-    if schema is None:
-        # No schema given: everything but the target column is treated as
-        # free text so the file still parses; an unknown column fails below.
-        header = [h.strip() for h in text.splitlines()[0].split(",")] if text else []
-        schema = AttributeSchema.from_pairs(
-            [(name, Role.NUMERIC if name == args.column else Role.NOMINAL) for name in header]
-        )
-    dataset = parse_csv(text, schema, missing_as_category=args.missing_as_category)
-    values = dataset.numeric(args.column).tolist()
+def cmd_rank(args) -> tuple[str, str]:
+    values = _load_dataset(args, args.column).numeric(args.column).tolist()
     ranked = ranks(values)
     json_text = json.dumps(ranked) + "\n"
     if args.json:
-        _emit(args, json_text, json_text)
-    else:
-        lines = [f"{_format_real(v)}\t{_format_real(r)}" for v, r in zip(values, ranked)]
-        _emit(args, "\n".join(lines) + "\n", json_text)
-    return 0
+        return json_text, json_text
+    return "".join(f"{_format_real(v)}\t{_format_real(r)}\n" for v, r in zip(values, ranked)), json_text
 
 
 def _encode_table(matrix: CodedMatrix) -> str:
@@ -216,16 +197,14 @@ def _encode_table(matrix: CodedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_encode(args) -> int:
-    dataset = _load_dataset(args, _load_schema(args.schema))
-    matrix = encode_dataset(dataset, args.mode)
+def cmd_encode(args) -> tuple[str, str]:
+    matrix = encode_dataset(_load_dataset(args), args.mode)
     json_text = coded_matrix_to_json(matrix, args.mode)
-    _emit(args, _encode_table(matrix) if args.table else json_text, json_text)
-    return 0
+    return _encode_table(matrix) if args.table else json_text, json_text
 
 
-def cmd_cluster(args) -> int:
-    dataset = _load_dataset(args, _load_schema(args.schema))
+def cmd_cluster(args) -> tuple[str, str]:
+    dataset = _load_dataset(args)
     matrix = standardize(encode_dataset(dataset, args.mode))
     labels = dataset.decision_labels()
     k = args.k
@@ -245,36 +224,31 @@ def cmd_cluster(args) -> int:
     }
     # injective purity needs at least as many clusters as labels; with a
     # forced smaller k the score is undefined, so it is simply omitted
-    score_labels = labels if labels is not None and k >= len(set(labels)) else None
-    if score_labels is not None:
-        doc["accuracy"] = purity_accuracy(assignments, score_labels)
+    if labels is not None and k >= len(set(labels)):
+        doc["accuracy"] = purity_accuracy(assignments, labels)
     json_text = json.dumps(doc, indent=2) + "\n"
     if args.json:
-        _emit(args, json_text, json_text)
-        return 0
+        return json_text, json_text
     lines = [f"assignments: {' '.join(str(a) for a in assignments)}"]
     for c in range(k):
         members = [str(i + 1) for i, a in enumerate(assignments) if a == c]
         lines.append(f"cluster {c} ({len(members)} rows): {' '.join(members)}")
     lines.append(f"inertia: {result.inertia:.6f}")
     lines.append(f"iterations: {result.iterations}")
-    if score_labels is not None:
+    if "accuracy" in doc:
         lines.append(f"accuracy: {doc['accuracy']:.2f}")
-    _emit(args, "\n".join(lines) + "\n", json_text)
-    return 0
+    return "\n".join(lines) + "\n", json_text
 
 
-def cmd_experiment(args) -> int:
-    dataset = _load_dataset(args, _load_schema(args.schema))
+def cmd_experiment(args) -> tuple[str, str]:
     report = run_experiment(
-        dataset,
+        _load_dataset(args),
         conditions=args.conditions,
         repeats=args.repeats,
         master_seed=args.seed,
     )
     json_text = report.to_json()
-    _emit(args, json_text if args.json else report.render_table(), json_text)
-    return 0
+    return json_text if args.json else report.render_table(), json_text
 
 
 _COMMANDS = {
@@ -292,13 +266,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        text, json_text = _COMMANDS[args.command](args)
+        if args.output is not None:
+            try:
+                args.output.write_text(json_text, encoding="utf-8")
+            except OSError as exc:
+                raise DataError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     except UsageError as exc:
         print(f"complexrank: error: {exc}", file=sys.stderr)
         return 1
     except (DataError, ValueError) as exc:
         print(f"complexrank: data error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -256,11 +256,14 @@ class RunRecord:
 class ConditionResult:
     name: str
     runs: tuple[RunRecord, ...]
-    buckets: dict[str, int]
 
     @property
     def accuracies(self) -> list[float]:
         return [r.accuracy for r in self.runs]
+
+    @property
+    def buckets(self) -> dict[str, int]:
+        return bucket_accuracies(self.accuracies)
 
 
 _CONDITION_LABELS = {
@@ -298,7 +301,7 @@ class ExperimentReport:
                         }
                         for r in c.runs
                     ],
-                    "buckets": dict(c.buckets),
+                    "buckets": c.buckets,
                 }
                 for c in self.conditions
             ],
@@ -313,7 +316,8 @@ class ExperimentReport:
         rows = []
         for c in self.conditions:
             label = _CONDITION_LABELS.get(c.name, c.name)
-            cells = [str(c.buckets[key]) if c.buckets[key] else "-" for key in BUCKET_KEYS]
+            buckets = c.buckets
+            cells = [str(buckets[key]) if buckets[key] else "-" for key in BUCKET_KEYS]
             rows.append([label] + cells)
         name_width = max(len("Condition"), *(len(r[0]) for r in rows))
         widths = [max(len(h), 5) for h in headers]
@@ -384,7 +388,6 @@ def run_experiment(
             ConditionResult(
                 name=mode.value,
                 runs=tuple(runs),
-                buckets=bucket_accuracies([r.accuracy for r in runs]),
             )
         )
     return ExperimentReport(

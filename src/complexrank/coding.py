@@ -66,8 +66,9 @@ class ComplexRank:
 
     def __post_init__(self) -> None:
         n, j, k = self.frequency, self.group_index, self.group_size
-        if n < 1 or not 0 <= j < k:
-            raise ValueError(f"(n, j, k) = ({n}, {j}, {k}) needs n >= 1 and 0 <= j < k")
+        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (n, j, k))
+        if not ints or n < 1 or not 0 <= j < k:
+            raise ValueError(f"(n, j, k) = ({n!r}, {j!r}, {k!r}) needs n >= 1 and 0 <= j < k, each an int")
 
     @property
     def rank(self) -> "ComplexRank":
@@ -211,6 +212,14 @@ class ColumnScaling:
     name: str
     mean: complex
     sigma: float
+
+
+def mean_and_sigma(cells: np.ndarray) -> tuple[complex, float]:
+    """The scaling standardize gives a column: its complex mean and its real
+    population scatter sqrt(sum(|x - mean|^2) / N), one sigma for both channels."""
+    mean = complex(cells.mean())
+    dev = cells - mean
+    return mean, math.sqrt(float(np.sum(dev.real**2 + dev.imag**2)) / len(cells))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,14 +468,15 @@ def _check_coded_cells(matrix: CodedMatrix) -> None:
     codebook token's cell count is its n. Every other cell has im 0, and so
     has its scaling mean. A one-hot cell is the scaled 0 or 1; each row of
     a one-hot block holds one 1, and the block's columns are first seen in
-    column order.
+    column order. A scaled coded column's scaling is the one standardize
+    gives its decoded cells.
     """
     for source, maps in ((ColumnSource.COMPLEX_CODED, [cb.attribute for cb in matrix.codebooks]),
                          (ColumnSource.ADHOC_CODED, list(matrix.adhoc_codes))):
         columns = [c.name for c in matrix.columns if c.source is source]
         if maps != columns:
             raise DataError(f"the {source.value} maps are for {maps}, but the {source.value} columns are {columns}")
-    books, blocks = iter(matrix.codebooks), []
+    books, blocks, decoded = iter(matrix.codebooks), [], []
     for i, col in enumerate(matrix.columns):
         cells, where = matrix.data[:, i], f"column {i + 1} ({col.name!r})"
         if col.source is ColumnSource.COMPLEX_CODED:
@@ -486,12 +496,15 @@ def _check_coded_cells(matrix: CodedMatrix) -> None:
                 values = np.array(list(entries.values()), dtype=np.complex128)
             else:
                 values = np.array([0, 1], dtype=np.complex128)
+        raw = values
         if matrix.scaling is not None:
             # standardize's arithmetic, so the scaled values match bit for bit; a
             # value that overflows is not finite and so matches no cell
             with np.errstate(over="ignore", invalid="ignore"):
                 values = (values - matrix.scaling[i].mean) / matrix.scaling[i].sigma
         codes = _decoded(cells, values, where)
+        if matrix.scaling is not None:
+            decoded.append((i, where, raw[codes]))
         if col.source is ColumnSource.ONE_HOT:
             # row 1's token is always first seen, so a block starts at a column hot
             # in row 1 or after another source (with no rows, at each column)
@@ -513,6 +526,10 @@ def _check_coded_cells(matrix: CodedMatrix) -> None:
             r = np.flatnonzero(ones != 1)[0]
             raise DataError(f"row {r + 1}, {where}: {ones[r]} hot cells, not 1")
         _first_seen(hot.argmax(axis=1), [matrix.columns[i].name for i, _ in block], where)
+    for i, where, column in decoded:
+        stored, derived = (matrix.scaling[i].mean, matrix.scaling[i].sigma), mean_and_sigma(column)
+        if stored != derived:
+            raise DataError(f"scaling of {where}: (mean, sigma) is {stored}, but its decoded cells give {derived}")
 
 
 def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:

@@ -23,6 +23,8 @@ Cell = float | str
 
 # Integer or plain decimal, optional sign. No exponents, no inf/nan.
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
+# One line: the text up to the first break that str.splitlines ends a line on.
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 class DataError(ValueError):
@@ -264,6 +266,14 @@ def _format_number(v: float) -> str:
     return s + "0" if s.endswith(".") else s
 
 
+def csv_header(text: str) -> list[str]:
+    """The names on CSV text's first line as parse_csv reads them: BOM dropped, split on ',', trimmed."""
+    start = 1 if text.startswith("\ufeff") else 0
+    if start == len(text):
+        return []
+    return [h.strip() for h in _LINE.match(text, start).group().split(",")]
+
+
 def parse_csv(
     text: str,
     schema: AttributeSchema,
@@ -278,15 +288,13 @@ def parse_csv(
     missing_as_category supplies a replacement token. Lines after the last
     non-blank line are not rows; a blank line before it is one.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    lines = text.splitlines()
-    if not lines:
+    header = csv_header(text)
+    if not header:
         raise DataError("input is empty")
-    header = [h.strip() for h in lines[0].split(",")]
     expected = list(schema.names)
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, found {header}")
+    lines = text.splitlines()
     while len(lines) > 1 and not lines[-1].strip():
         lines.pop()
     if len(lines) == 1:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import CodedMatrix, ColumnScaling
+from .coding import CodedMatrix, ColumnScaling, mean_and_sigma
 from .dataset import DataError
 
 ComplexVector = Sequence[complex]
@@ -82,15 +82,13 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         for c, col_info in enumerate(matrix.columns):
             col = data[:, c]
-            mean = complex(col.mean())
-            dev = col - mean
-            sigma = math.sqrt(float(np.sum(dev.real**2 + dev.imag**2)) / n)
+            mean, sigma = mean_and_sigma(col)
             # sigma underflows to 0 not only for constant columns but also
             # when the spread is subnormal; both have no usable scale
             if sigma == 0.0:
                 raise DataError(f"column {col_info.name!r} has zero dispersion")
             if not math.isfinite(sigma):
                 raise DataError(f"column {col_info.name!r} is too spread out: its scatter overflows")
-            out[:, c] = dev / sigma
+            out[:, c] = (col - mean) / sigma
             scalings.append(ColumnScaling(col_info.name, mean, sigma))
     return replace(matrix, data=out, scaling=tuple(scalings))

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,16 @@ class TestRankCommand:
         )
         assert code == 2
         assert "data error" in err
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_schema_less_header_drops_a_bom_as_parse_csv_does(self, capsys, tmp_path, fmt):
+        text = cars_csv_path().read_text(encoding="utf-8")
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        with_bom = run(capsys, ["rank", "--input", str(bom), "--column", "Door", *fmt])
+        assert with_bom == run(capsys, ["rank", "--input", str(plain), "--column", "Door", *fmt])
+        assert with_bom[0] == 0
 
     def test_output_flag_writes_json(self, capsys, tmp_path):
         out_file = tmp_path / "ranks.json"
@@ -371,6 +383,23 @@ class TestExperimentCommand:
         assert "(default: adhoc,numeric,nominal,combined)" in " ".join(capsys.readouterr().out.split())
 
 
+class TestOutputFile:
+    COMMANDS = {
+        "rank": ["rank", "--input", CARS, "--column", "Door"],
+        "encode": ["encode", "--input", CARS, "--schema", SCHEMA],
+        "cluster": ["cluster", "--input", CARS, "--schema", SCHEMA],
+        "experiment": ["experiment", "--repeats", "2"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    def test_unwritable_output_is_a_data_error(self, capsys, tmp_path, command, target):
+        path, code = (tmp_path, errno.EISDIR) if target == "directory" else (tmp_path / "no" / "out.json", errno.ENOENT)
+        assert run(capsys, [*self.COMMANDS[command], "--output", str(path)]) == (
+            2, "", f"complexrank: data error: cannot write {path}: {os.strerror(code)}\n"
+        )
+
+
 class TestTopLevel:
     def test_no_subcommand_prints_usage(self, capsys):
         code = main([])
@@ -382,6 +411,24 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "--input", CARS, "--schema", SCHEMA, "--k", "0"],
+             "complexrank cluster: error: argument --k: expected a positive integer, got 0"),
+            (["cluster", "--input", CARS, "--schema", SCHEMA, "--seed", "-1"],
+             "complexrank cluster: error: argument --seed: seed must be non-negative, got -1"),
+            (["experiment", "--repeats", "x"],
+             "complexrank experiment: error: argument --repeats: 'x' is not an integer"),
+        ],
+        ids=["k-zero", "seed-negative", "repeats-not-int"],
+    )
+    def test_integer_flags_name_the_bad_value(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == message
 
     def test_entry_point_is_installed(self):
         import shutil

@@ -565,6 +565,19 @@ class TestReadBackAgainstCells:
         with pytest.raises(DataError, match=r"row 2, one-hot columns 3 \('Color=Blue'\) to 3 .*: 0 hot cells"):
             coded_matrix_from_json_dict(doc)
 
+    @pytest.mark.parametrize("mode, name", [("combined", "Color"), ("adhoc", "Color"), ("onehot", "Color=Blue")])
+    def test_scaling_must_be_the_one_the_decoded_cells_give(self, cars, mode, name):
+        raw = encode_dataset(cars, EncodeMode(mode))
+        doc = coded_matrix_to_json_dict(standardize(raw))
+        scaling = doc["scaling"][2]
+        scaling["mean"]["re"] += 1.0  # and the cells rescaled to match the shifted mean
+        mean, sigma = complex(scaling["mean"]["re"], scaling["mean"]["im"]), scaling["sigma"]["re"]
+        for row, z in zip(doc["rows"], ((raw.data[:, 2] - mean) / sigma).tolist()):
+            row[2] = {"re": z.real, "im": z.imag}
+        with pytest.raises(DataError, match=rf"scaling of column 3 \('{name}'\): \(mean, sigma\) is .*, "
+                                            r"but its decoded cells give"):
+            coded_matrix_from_json_dict(doc)
+
     def test_onehot_column_without_rows_is_refused(self, cars):
         doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.ONEHOT))
         doc.update(rows=[], decision=None)
@@ -603,7 +616,8 @@ class TestReadBackAgainstCells:
         with pytest.raises(DataError, match=message):
             coded_matrix_from_json_dict(doc)
 
-    @pytest.mark.parametrize("njk", [(3, 4, 3), (3, -1, 2), (0, 0, 1), (2, 0, 0)])
+    @pytest.mark.parametrize("njk", [(3, 4, 3), (3, -1, 2), (0, 0, 1), (2, 0, 0),
+                                     (2, 0.5, 1), (3, 1, 2.0), (2.0, 0, 1), (True, 0, 1)])
     def test_complex_rank_refuses_a_triple_outside_the_range(self, njk):
         with pytest.raises(ValueError, match=r"needs n >= 1 and 0 <= j < k"):
             ComplexRank(*njk)

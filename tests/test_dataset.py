@@ -12,6 +12,7 @@ from complexrank.dataset import (
     Dataset,
     Role,
     cars_csv_path,
+    csv_header,
     parse_csv,
 )
 
@@ -147,6 +148,15 @@ class TestParseCsv:
         with pytest.raises(DataError, match=r"row 2: expected 2 cells, the line is blank$"):
             parse_csv("x,y\n1,a\n\n2,b\n", make_schema(("x", "numeric"), ("y", "nominal")))
 
+    def test_leading_bom_is_dropped(self):
+        ds = parse_csv("\ufeffx , y\n1,a\n", make_schema(("x", "numeric"), ("y", "nominal")))
+        assert row_tuples(ds) == ((1.0, "a"),)
+
+    @pytest.mark.parametrize("text", ["", "\ufeff"])
+    def test_empty_input(self, text):
+        with pytest.raises(DataError, match="^input is empty$"):
+            parse_csv(text, make_schema(("x", "numeric")))
+
     def test_no_data_rows(self):
         with pytest.raises(DataError, match="no data rows"):
             parse_csv("x\n", make_schema(("x", "numeric")))
@@ -267,6 +277,12 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 csv_token = st.one_of(
     simple_token, st.text(alphabet="abXY \t\xa0" + LINE_BREAKS + ",", min_size=1, max_size=4)
 )
+
+
+@given(st.text(alphabet="ab ,\ufeff" + LINE_BREAKS, max_size=12))
+def test_csv_header_reads_the_first_line_that_splitlines_gives(text):
+    lines = text.removeprefix("\ufeff").splitlines()
+    assert csv_header(text) == ([h.strip() for h in lines[0].split(",")] if lines else [])
 
 
 @st.composite

@@ -49,6 +49,7 @@ COMMANDS = st.sampled_from([
     ["encode", "--table"],
     *(["cluster", "--mode", m.value, "--seed", "1"] for m in EncodeMode),
     ["rank", "--column", "Power"],
+    ["experiment", "--repeats", "2"],
 ])
 
 
