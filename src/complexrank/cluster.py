@@ -4,14 +4,16 @@ Complex matrices are clustered through their interleaved real view, so a
 D-dimensional complex problem is literally the 2D-dimensional real one;
 assignments, centroids, and inertia come out identical either way. The
 experiment harness re-runs clustering under several encodings of the same
-dataset and buckets purity accuracy into a compact summary table.
+dataset and buckets purity accuracy into a compact summary table; the
+restarts of one encoding run side by side in one Lloyd loop, each with the
+result it would have alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,9 +27,12 @@ SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
 
 _M64 = (1 << 64) - 1
 
-# Bytes of broadcast scratch per block of rows in the k-means distance
-# step; small enough to stay in cache, large enough to amortize the calls.
+# Bytes of broadcast scratch per block of (restart, row) pairs in the
+# k-means distance step; small enough to stay in cache, large enough to
+# amortize the calls.
 _BLOCK_BYTES = 2 << 20
+
+_MAX_ITERATIONS = 100
 
 
 def splitmix64(x: int) -> int:
@@ -54,6 +59,8 @@ class ClusteringResult:
     inertia: float
     iterations: int
     seed: int | None
+    converged: bool  # assignments repeated before max_iterations ran out
+    reseeds: int  # empty clusters restarted on a farthest point
 
 
 def _working_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -66,11 +73,17 @@ def _working_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(a, dtype=np.float64), False
 
 
+def _start(work: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
+    """(restarts, k, d) starting centroids: k distinct random rows per seed."""
+    n = work.shape[0]
+    return work[[np.random.default_rng(s).choice(n, size=k, replace=False) for s in seeds]]
+
+
 def kmeans(
     data: np.ndarray | CodedMatrix,
     k: int,
     seed: int = 0,
-    max_iterations: int = 100,
+    max_iterations: int = _MAX_ITERATIONS,
     *,
     initial_centroids: np.ndarray | None = None,
 ) -> ClusteringResult:
@@ -102,59 +115,119 @@ def kmeans(
         raise ValueError(f"max_iterations must be positive, got {max_iterations}")
 
     if initial_centroids is None:
-        rng = np.random.default_rng(seed)
-        start_rows = rng.choice(n, size=k, replace=False)
-        centroids = work[start_rows].copy()
+        start = _start(work, k, [seed])
     else:
         init, init_complex = _working_view(initial_centroids)
         if init_complex != was_complex or init.shape != (k, work.shape[1]):
             raise ValueError("initial_centroids must be k rows matching the data layout")
-        centroids = init.copy()
+        start = init[None]
 
-    # squared distances are filled block by block with the same per-row
-    # arithmetic as one full n x k x d broadcast, so results match it bit
-    # for bit while the scratch stays within _BLOCK_BYTES
-    d2 = np.empty((n, k))
-    block = max(1, _BLOCK_BYTES // max(1, 8 * k * work.shape[1]))
-    assignments: np.ndarray | None = None
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
-        for s in range(0, n, block):
-            diff = work[s : s + block, None, :] - centroids[None, :, :]
-            np.einsum("nkd,nkd->nk", diff, diff, out=d2[s : s + block])
-        new_assignments = np.argmin(d2, axis=1)  # ties -> lowest index
-
-        point_d2 = d2[np.arange(n), new_assignments]
-        # a restart only takes a point from a cluster of size > 1, so it
-        # never empties a cluster and the empty set found here stays exact
-        for c in np.flatnonzero(np.bincount(new_assignments, minlength=k) == 0):
-            # restart the empty cluster on the farthest point whose own
-            # cluster can spare it
-            sizes = np.bincount(new_assignments, minlength=k)
-            eligible = sizes[new_assignments] > 1
-            candidates = np.where(eligible, point_d2, -np.inf)
-            p = int(np.argmax(candidates))
-            new_assignments[p] = c
-            centroids[c] = work[p]
-            point_d2[p] = 0.0
-
-        if assignments is not None and np.array_equal(new_assignments, assignments):
-            break
-        assignments = new_assignments
-        for c in range(k):
-            centroids[c] = work[assignments == c].mean(axis=0)
-
-    assert assignments is not None
-    diff = work - centroids[assignments]
-    inertia = float(np.einsum("nd,nd->", diff, diff))
+    assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(work, start, max_iterations)
+    centroids = centroids[0]
     if was_complex:
         centroids = centroids.view(np.complex128)
-    centroids = centroids.copy()
     centroids.flags.writeable = False
-    assignments = assignments.copy()
+    assignments = assignments[0]
     assignments.flags.writeable = False
-    return ClusteringResult(assignments, centroids, inertia, iterations, seed)
+    return ClusteringResult(
+        assignments, centroids, float(inertia[0]), int(iterations[0]), seed,
+        bool(converged[0]), int(reseeds[0]),
+    )
+
+
+def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tuple[np.ndarray, ...]:
+    """Lloyd's algorithm from each of R starts at once; `kmeans` is R = 1.
+
+    work is the (n, d) real matrix and centroids the (R, k, d) starts.
+    Each restart runs exactly as it would alone: the live restarts drop
+    one as soon as its assignments repeat, and empty clusters are
+    reseeded restart by restart. Returns per-restart assignments (R, n),
+    centroids (R, k, d), inertia, iterations, converged and reseeds.
+    """
+    R, k, d = centroids.shape
+    n = work.shape[0]
+    centroids = centroids.copy()
+    assignments = np.empty((R, n), dtype=np.intp)
+    iterations = np.zeros(R, dtype=np.intp)
+    converged = np.zeros(R, dtype=bool)
+    reseeds = np.zeros(R, dtype=np.intp)
+    # the bincount update reads each dimension as one contiguous column;
+    # for d = 1 a cluster's mean sums its contiguous column pairwise,
+    # which a bincount would not reproduce, so d = 1 keeps the mean
+    columns = np.ascontiguousarray(work.T) if d > 1 else None
+    # squared distances of (restart, row) pairs are filled block by block
+    # with the same per-pair arithmetic as one full n x k x d broadcast,
+    # so results match it bit for bit while the scratch stays within
+    # _BLOCK_BYTES: whole restarts per block, or row blocks of one restart
+    block = max(1, _BLOCK_BYTES // max(1, 8 * k * d))
+    rows, group = min(n, block), max(1, block // n)
+    d2 = np.empty((R * n, k))
+    live = np.arange(R)
+    for step in range(max_iterations):
+        m = live.size
+        cents = centroids[live]
+        for r in range(0, m, group):
+            for s in range(0, n, rows):
+                diff = (work[None, s : s + rows, None, :] - cents[r : r + group, None]).reshape(-1, k, d)
+                at = r * n + s
+                np.einsum("nkd,nkd->nk", diff, diff, out=d2[at : at + len(diff)])
+        dist = d2[: m * n].reshape(m, n, k)
+        new = dist.argmin(axis=2)  # ties -> lowest index
+        iterations[live] += 1
+
+        offsets = (np.arange(m) * k)[:, None]
+        sizes = np.bincount((new + offsets).ravel(), minlength=m * k).reshape(m, k)
+        for i in np.flatnonzero((sizes == 0).any(axis=1)):
+            own, point_d2 = new[i], dist[i, np.arange(n), new[i]]
+            # a restart only takes a point from a cluster of size > 1, so it
+            # never empties a cluster and the empty set found here stays exact
+            for c in np.flatnonzero(sizes[i] == 0):
+                # restart the empty cluster on the farthest point whose own
+                # cluster can spare it
+                eligible = np.bincount(own, minlength=k)[own] > 1
+                p = int(np.argmax(np.where(eligible, point_d2, -np.inf)))
+                own[p] = c
+                cents[i, c] = work[p]
+                point_d2[p] = 0.0
+                reseeds[live[i]] += 1
+
+        # a restart whose assignments repeat stops with its centroids as
+        # they stand, reseeds included; the others move to their means
+        done = (new == assignments[live]).all(axis=1) if step else np.zeros(m, dtype=bool)
+        converged[live[done]] = True
+        centroids[live[done]] = cents[done]
+        moving = ~done
+        live, new, cents = live[moving], new[moving], cents[moving]
+        m = live.size
+        if not m:
+            break
+        assignments[live] = new
+        if columns is None:
+            for i in range(m):
+                for c in range(k):
+                    cents[i, c] = work[new[i] == c].mean(axis=0)
+        else:
+            cents = _bincount_means(columns, (new + offsets[:m]).ravel(), m, k)
+        centroids[live] = cents
+    del columns  # before the inertia step, whose n x d temporaries set the peak
+
+    diff = work - centroids[np.arange(R)[:, None], assignments]
+    inertia = np.einsum("rnd,rnd->r", diff, diff)
+    return assignments, centroids, inertia, iterations, converged, reseeds
+
+
+def _bincount_means(columns: np.ndarray, key: np.ndarray, restarts: int, k: int) -> np.ndarray:
+    """(restarts, k, d) cluster means from the (d, n) transposed working matrix.
+
+    key holds restart * k + cluster for every (restart, row) pair,
+    restart-major. Each sum adds a cluster's rows in row order, as
+    mean(axis=0) does on the (rows, d) member matrix, so the bytes are
+    the same for d >= 2.
+    """
+    weights = columns if restarts == 1 else np.tile(columns, restarts)
+    sums = np.stack([np.bincount(key, weights=w, minlength=restarts * k) for w in weights], axis=1)
+    means = sums / np.bincount(key, minlength=restarts * k)[:, None]
+    return means.reshape(restarts, k, len(columns))
 
 
 def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:
@@ -171,17 +244,38 @@ def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:
         raise ValueError(f"length mismatch: {len(assign)} assignments, {len(labs)} labels")
     if not assign:
         raise ValueError("purity_accuracy() needs at least one point")
-    clusters = sorted(set(assign))
-    distinct = list(dict.fromkeys(labs))
-    counts: dict[tuple[int, str], int] = {}
-    for a, l in zip(assign, labs):
-        counts[(a, l)] = counts.get((a, l), 0) + 1
-    if len(distinct) > len(clusters):
+    clusters, cluster_codes = np.unique(assign, return_inverse=True)
+    label_codes, n_labels = _label_codes(labs)
+    if n_labels > len(clusters):
         raise ValueError(
-            f"{len(distinct)} labels cannot be matched injectively to {len(clusters)} clusters"
+            f"{n_labels} labels cannot be matched injectively to {len(clusters)} clusters"
         )
-    table = [[counts.get((c, l), 0) for c in clusters] for l in distinct]
-    return _max_matching(table) / len(assign)
+    return _purities(cluster_codes[None], label_codes, n_labels, len(clusters))[0]
+
+
+def _label_codes(labels: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Each label's index among the distinct labels, and their number."""
+    index: dict[str, int] = {}
+    return np.array([index.setdefault(l, len(index)) for l in labels], dtype=np.intp), len(index)
+
+
+def _purities(assignments: np.ndarray, labels: np.ndarray, n_labels: int, n_clusters: int) -> list[float]:
+    """purity_accuracy of each row of (R, n) cluster codes against label codes.
+
+    The R label x cluster count tables come from one bincount, and each
+    distinct table is matched once.
+    """
+    R, n = assignments.shape
+    key = (np.arange(R)[:, None] * n_labels + labels) * n_clusters + assignments
+    tables = np.bincount(key.ravel(), minlength=R * n_labels * n_clusters)
+    best: dict[bytes, int] = {}
+    out = []
+    for table in tables.reshape(R, n_labels, n_clusters):
+        t = table.tobytes()
+        if t not in best:
+            best[t] = _max_matching(table.tolist())
+        out.append(best[t] / n)
+    return out
 
 
 def _max_matching(weights: list[list[int]]) -> int:
@@ -276,6 +370,27 @@ _CONDITION_LABELS = {
 }
 
 
+# a condition and a run as json.dumps(indent=2) writes them inside
+# "conditions" and "runs"
+_JSON_CONDITION = '    {\n      "name": %s,\n      "runs": %s,\n      "buckets": %s\n    }'
+_JSON_RUN = (
+    '        {\n          "seed": %d,\n          "accuracy": %s,\n'
+    '          "inertia": %s,\n          "iterations": %d\n        }'
+)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already written items, closed at `indent`."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it; a non-finite value is no JSON number."""
+    if not math.isfinite(x):
+        raise ValueError(f"{x} cannot be written as a JSON number")
+    return float.__repr__(x)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     master_seed: int
@@ -283,24 +398,21 @@ class ExperimentReport:
     k: int
     conditions: tuple[ConditionResult, ...]
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
         return {
             "master_seed": self.master_seed,
             "repeats": self.repeats,
             "k": self.k,
             "rng": {"generator": RNG_NOTE, "seed_derivation": SEED_NOTE},
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self._head(),
             "conditions": [
                 {
                     "name": c.name,
-                    "runs": [
-                        {
-                            "seed": r.seed,
-                            "accuracy": r.accuracy,
-                            "inertia": r.inertia,
-                            "iterations": r.iterations,
-                        }
-                        for r in c.runs
-                    ],
+                    "runs": [asdict(r) for r in c.runs],
                     "buckets": c.buckets,
                 }
                 for c in self.conditions
@@ -308,7 +420,25 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The text of `json.dumps(self.to_json_dict(), indent=2) + "\n"`, byte for byte.
+
+        Each run is written through one template instead of json's
+        encoder; a non-finite accuracy or inertia raises ValueError.
+        """
+        conditions = [
+            _JSON_CONDITION % (
+                json.dumps(c.name),
+                _json_list([
+                    _JSON_RUN % (r.seed, _json_float(r.accuracy), _json_float(r.inertia), r.iterations)
+                    for r in c.runs
+                ], "      "),
+                json.dumps(c.buckets, indent=2).replace("\n", "\n      "),
+            )
+            for c in self.conditions
+        ]
+        # the head dump is a non-empty object: "{\n" + fields + "\n}"
+        head = json.dumps(self._head(), indent=2)[:-2]
+        return f'{head},\n  "conditions": {_json_list(conditions, "  ")}\n}}\n'
 
     def render_table(self) -> str:
         """Accuracy bucket counts per condition, zeros shown as '-'."""
@@ -358,7 +488,9 @@ def run_experiment(
     k is the number of distinct decision labels. Every condition is
     encoded, standardized per column, and clustered `repeats` times from
     seeds derived deterministically from (master_seed, condition index,
-    run index), so a report is reproducible byte for byte.
+    run index), so a report is reproducible byte for byte. The runs of a
+    condition are clustered together in one batched Lloyd loop and each
+    scored as kmeans and purity_accuracy would score it.
     """
     labels = dataset.decision_labels()
     if labels is None:
@@ -367,29 +499,21 @@ def run_experiment(
         raise ValueError(f"repeats must be positive, got {repeats}")
     if not conditions:
         raise ValueError("at least one condition is required")
-    k = len(set(labels))
+    label_codes, k = _label_codes(labels)
     results = []
     for ci, mode in enumerate(conditions):
-        matrix = standardize(encode_dataset(dataset, mode))
+        work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
+        seeds = [derive_run_seed(master_seed, ci, ri) for ri in range(repeats)]
+        # restarts per batch, so that their (restart, row) state and the
+        # inertia step's temporaries stay near _BLOCK_BYTES
+        per = max(1, _BLOCK_BYTES // (8 * len(work) * (k + work.shape[1])))
         runs = []
-        for ri in range(repeats):
-            seed = derive_run_seed(master_seed, ci, ri)
-            result = kmeans(matrix, k, seed=seed)
-            accuracy = purity_accuracy(result.assignments.tolist(), labels)
-            runs.append(
-                RunRecord(
-                    seed=seed,
-                    accuracy=accuracy,
-                    inertia=result.inertia,
-                    iterations=result.iterations,
-                )
-            )
-        results.append(
-            ConditionResult(
-                name=mode.value,
-                runs=tuple(runs),
-            )
-        )
+        for lo in range(0, repeats, per):
+            batch = seeds[lo : lo + per]
+            assignments, _, inertia, iterations, _, _ = _lloyd(work, _start(work, k, batch), _MAX_ITERATIONS)
+            accuracy = _purities(assignments, label_codes, k, k)
+            runs += map(RunRecord, batch, accuracy, inertia.tolist(), iterations.tolist())
+        results.append(ConditionResult(name=mode.value, runs=tuple(runs)))
     return ExperimentReport(
         master_seed=master_seed,
         repeats=repeats,

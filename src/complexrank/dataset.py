@@ -267,10 +267,13 @@ def _format_number(v: float) -> str:
 
 
 def csv_header(text: str) -> list[str]:
-    """The names on CSV text's first line as parse_csv reads them: BOM dropped, split on ',', trimmed."""
+    """The names on CSV text's first line as parse_csv reads them: BOM dropped, split on ',', trimmed.
+
+    Text with no first line (empty, or only a BOM) is a DataError.
+    """
     start = 1 if text.startswith("\ufeff") else 0
     if start == len(text):
-        return []
+        raise DataError("input is empty")
     return [h.strip() for h in _LINE.match(text, start).group().split(",")]
 
 
@@ -289,8 +292,6 @@ def parse_csv(
     non-blank line are not rows; a blank line before it is one.
     """
     header = csv_header(text)
-    if not header:
-        raise DataError("input is empty")
     expected = list(schema.names)
     if header != expected:
         raise DataError(f"header mismatch: expected {expected}, found {header}")

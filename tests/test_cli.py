@@ -104,6 +104,17 @@ class TestRankCommand:
         assert with_bom == run(capsys, ["rank", "--input", str(plain), "--column", "Door", *fmt])
         assert with_bom[0] == 0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "input is empty"), ("\ufeff", "input is empty"), ("\nx,note\n3,a\n", "bad column name: ''")],
+        ids=["empty", "bom-only", "blank-first-line"],
+    )
+    def test_schema_less_header_faults_are_data_errors(self, capsys, tmp_path, text, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--input", str(f), "--column", "x"])
+        assert (code, out, err) == (2, "", f"complexrank: data error: {message}\n")
+
     def test_output_flag_writes_json(self, capsys, tmp_path):
         out_file = tmp_path / "ranks.json"
         code, out, _ = run(

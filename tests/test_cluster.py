@@ -20,7 +20,13 @@ from complexrank import (
     standardize,
 )
 from complexrank import cluster
-from complexrank.cluster import BUCKET_KEYS, DEFAULT_CONDITIONS
+from complexrank.cluster import (
+    BUCKET_KEYS,
+    DEFAULT_CONDITIONS,
+    ConditionResult,
+    ExperimentReport,
+    RunRecord,
+)
 from complexrank.dataset import AttributeSchema, Dataset
 from .oracles import (
     broadcast_kmeans,
@@ -89,6 +95,14 @@ class TestKmeansBasics:
         a = result.assignments
         assert a[0] == a[1] and a[2] == a[3] and a[0] != a[2]
         assert result.inertia == pytest.approx(1.0, abs=1e-12)
+        assert result.reseeds >= 1
+
+    def test_a_capped_run_is_not_converged(self):
+        data = random_points(3, 20, 2)
+        assert kmeans(data, 4, seed=1, max_iterations=1).converged is False
+        result = kmeans(data, 4, seed=1)
+        assert result.converged is True and result.iterations < 100
+        assert result.reseeds == 0
 
     def test_centroids_are_cluster_means(self):
         data = random_points(3, 20, 2)
@@ -240,6 +254,118 @@ class TestBlockedDistances:
         m = standardize(encode_dataset(cars, mode))
         for seed in range(40):
             assert_matches_broadcast_oracle(m.data, 3, seed=seed)
+
+
+@st.composite
+def small_tables(draw):
+    """A dataset of small-integer numeric columns, perhaps one nominal column,
+    and labels: duplicated rows, exact distance ties and duplicate starting
+    rows (so emptied clusters) are common."""
+    n = draw(st.integers(3, 10))
+    cells = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(lambda c: len(set(c)) > 1)
+    pairs, columns = [], []
+    for j in range(draw(st.integers(1, 3))):
+        pairs.append((f"x{j}", "numeric"))
+        columns.append([float(v) for v in draw(cells)])
+    if draw(st.booleans()):
+        tokens = st.lists(st.sampled_from("pqr"), min_size=n, max_size=n).filter(lambda c: len(set(c)) > 1)
+        pairs.append(("t", "nominal"))
+        columns.append(draw(tokens))
+    pairs.append(("y", "decision"))
+    columns.append(draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n)))
+    return Dataset(AttributeSchema.from_pairs(pairs), columns)
+
+
+def assert_runs_match_the_oracles(dataset, conditions, repeats, master_seed, cap):
+    """Every run of run_experiment is broadcast_kmeans plus brute_force_purity
+    for its derived seed."""
+    report = run_experiment(dataset, conditions, repeats=repeats, master_seed=master_seed)
+    labels = dataset.decision_labels()
+    for ci, (mode, condition) in enumerate(zip(conditions, report.conditions)):
+        data = standardize(encode_dataset(dataset, mode)).data
+        for ri, run in enumerate(condition.runs):
+            seed = derive_run_seed(master_seed, ci, ri)
+            assignments, _, inertia, iterations = broadcast_kmeans(
+                data, report.k, seed=seed, max_iterations=cap
+            )
+            assert (run.seed, run.inertia, run.iterations) == (seed, inertia, iterations), (ci, ri)
+            assert run.accuracy == brute_force_purity(assignments.tolist(), labels), (ci, ri)
+
+
+class TestBatchedRestarts:
+    """run_experiment clusters all restarts of a condition in one Lloyd loop;
+    each restart must still be the run kmeans' rules give alone."""
+
+    def test_capped_reseeded_runs_across_blocks(self, monkeypatch, cars):
+        # numeric cars (d=4, k=3, n=10) with a cap of 2: some restarts
+        # converge and some stop at the cap, some reseed an emptied cluster
+        monkeypatch.setattr(cluster, "_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 3 * 4 * 10 * 3)
+        n, k, d = 10, 3, 4
+        group = cluster._BLOCK_BYTES // (8 * k * d) // n
+        per_batch = cluster._BLOCK_BYTES // (8 * n * (k + d))
+        assert 1 < group < per_batch < 20  # several batches, each over two blocks
+        data = standardize(encode_dataset(cars, EncodeMode.NUMERIC))
+        alone = [kmeans(data, k, seed=derive_run_seed(4, 0, r), max_iterations=2) for r in range(20)]
+        assert {r.converged for r in alone} == {True, False}
+        assert any(r.reseeds for r in alone)
+        assert_runs_match_the_oracles(cars, [EncodeMode.NUMERIC], 20, 4, cap=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_tables(),
+        st.sampled_from(list(EncodeMode)),
+        st.integers(1, 12),
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([1, 2, 3, 100]),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_each_run_is_the_oracle_run(self, dataset, mode, repeats, master_seed, cap, groups):
+        # groups: restarts per distance block (None: the default block size)
+        try:
+            d = 2 * standardize(encode_dataset(dataset, mode)).data.shape[1]
+        except DataError:  # a coded column with no spread cannot be standardized
+            return
+        k = len(set(dataset.decision_labels()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster, "_MAX_ITERATIONS", cap)
+            if groups is not None:
+                mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * max(d, 1) * dataset.n_rows * groups)
+            assert_runs_match_the_oracles(dataset, [mode], repeats, master_seed, cap)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(3, 40),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+        st.sampled_from([1, 2, 3, 100]),
+        st.sampled_from([None, 1, 2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_each_restart_is_the_oracle_run(self, n, d, k, seeds, cap, groups, data_seed, ties):
+        # the batched loop itself on real inputs, d = 1 (the mean update) and
+        # d >= 2: small integers tie often; normal floats in clusters of 8 or
+        # more rows sum pairwise in mean(axis=0) when d = 1
+        rng = np.random.default_rng(data_seed)
+        data = rng.integers(-2, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
+        k = min(k, n)
+        with pytest.MonkeyPatch.context() as mp:
+            if groups is not None:
+                mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * groups)
+            assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
+                data, cluster._start(data, k, seeds), cap
+            )
+        for r, seed in enumerate(seeds):
+            want = broadcast_kmeans(data, k, seed=seed, max_iterations=cap)
+            assert np.array_equal(assignments[r], want[0])
+            assert centroids[r].tobytes() == want[1].tobytes()
+            assert (inertia[r], iterations[r]) == (want[2], want[3])
+            # converged: the assignments repeated within the cap
+            assert converged[r] == (broadcast_kmeans(data, k, seed=seed, max_iterations=cap + 1)[3] <= cap)
+            alone = kmeans(data, k, seed=seed, max_iterations=cap)
+            assert (alone.converged, alone.reseeds) == (converged[r], reseeds[r])
 
 
 class TestComplexRealBridge:
@@ -429,6 +555,28 @@ class TestRunExperiment:
         doc = json.loads(report.to_json())
         assert doc == report.to_json_dict()
         assert doc["rng"]["generator"].startswith("numpy.random.default_rng")
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1])
+    def test_json_writer_matches_json_dumps(self, cars, master_seed):
+        report = run_experiment(cars, conditions=list(EncodeMode), repeats=6, master_seed=master_seed)
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    def test_json_writer_edge_values_and_empty_lists(self):
+        runs = (
+            RunRecord(2**64 - 1, 1.0, 5e-324, 1),
+            RunRecord(0, 0.1 + 0.2, 1e16, 100),
+            RunRecord(3, 1 / 3, -0.0, 7),
+        )
+        conditions = (ConditionResult('odd "name" \\ \u00e9\n', runs), ConditionResult("none", ()))
+        for report in (ExperimentReport(3, 3, 2, conditions), ExperimentReport(0, 1, 1, ())):
+            assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_writer_refuses_non_finite_numbers(self, bad):
+        for run in (RunRecord(1, bad, 1.0, 1), RunRecord(1, 0.5, bad, 1)):
+            report = ExperimentReport(0, 1, 2, (ConditionResult("c", (run,)),))
+            with pytest.raises(ValueError, match="cannot be written as a JSON number"):
+                report.to_json()
 
     def test_table_lists_condition_labels(self, cars):
         report = run_experiment(cars, repeats=2, master_seed=0)

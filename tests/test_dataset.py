@@ -282,7 +282,11 @@ csv_token = st.one_of(
 @given(st.text(alphabet="ab ,\ufeff" + LINE_BREAKS, max_size=12))
 def test_csv_header_reads_the_first_line_that_splitlines_gives(text):
     lines = text.removeprefix("\ufeff").splitlines()
-    assert csv_header(text) == ([h.strip() for h in lines[0].split(",")] if lines else [])
+    if not lines:
+        with pytest.raises(DataError, match="^input is empty$"):
+            csv_header(text)
+        return
+    assert csv_header(text) == [h.strip() for h in lines[0].split(",")]
 
 
 @st.composite
