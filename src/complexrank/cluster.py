@@ -76,7 +76,7 @@ def _working_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
 def _start(work: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     """(restarts, k, d) starting centroids: k distinct random rows per seed."""
     n = work.shape[0]
-    return work[[np.random.default_rng(s).choice(n, size=k, replace=False) for s in seeds]]
+    return work[np.stack([np.random.default_rng(s).choice(n, size=k, replace=False) for s in seeds])]
 
 
 def kmeans(
@@ -155,23 +155,23 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     # for d = 1 a cluster's mean sums its contiguous column pairwise,
     # which a bincount would not reproduce, so d = 1 keeps the mean
     columns = np.ascontiguousarray(work.T) if d > 1 else None
-    # squared distances of (restart, row) pairs are filled block by block
+    # squared distances of (row, restart) pairs are filled block by block
     # with the same per-pair arithmetic as one full n x k x d broadcast,
     # so results match it bit for bit while the scratch stays within
-    # _BLOCK_BYTES: whole restarts per block, or row blocks of one restart
+    # _BLOCK_BYTES; rows are the outer axis, so a block of rows over all
+    # live restarts is one contiguous slice
     block = max(1, _BLOCK_BYTES // max(1, 8 * k * d))
-    rows, group = min(n, block), max(1, block // n)
-    d2 = np.empty((R * n, k))
+    buffer = np.empty(n * R * k)
     live = np.arange(R)
     for step in range(max_iterations):
         m = live.size
         cents = centroids[live]
-        for r in range(0, m, group):
-            for s in range(0, n, rows):
-                diff = (work[None, s : s + rows, None, :] - cents[r : r + group, None]).reshape(-1, k, d)
-                at = r * n + s
-                np.einsum("nkd,nkd->nk", diff, diff, out=d2[at : at + len(diff)])
-        dist = d2[: m * n].reshape(m, n, k)
+        rows = max(1, block // m)  # one row of every live restart at least
+        d2 = buffer[: n * m * k].reshape(n, m, k)
+        for s in range(0, n, rows):
+            diff = (work[s : s + rows, None, None, :] - cents).reshape(-1, k, d)
+            np.einsum("nkd,nkd->nk", diff, diff, out=d2[s : s + rows].reshape(-1, k))
+        dist = d2.transpose(1, 0, 2)
         new = dist.argmin(axis=2)  # ties -> lowest index
         iterations[live] += 1
 
@@ -504,9 +504,10 @@ def run_experiment(
     for ci, mode in enumerate(conditions):
         work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
         seeds = [derive_run_seed(master_seed, ci, ri) for ri in range(repeats)]
-        # restarts per batch, so that their (restart, row) state and the
-        # inertia step's temporaries stay near _BLOCK_BYTES
-        per = max(1, _BLOCK_BYTES // (8 * len(work) * (k + work.shape[1])))
+        # restarts per batch: as many as one distance block holds, so the
+        # distance scratch and the inertia step's temporaries stay within
+        # _BLOCK_BYTES (a batch of one restart splits its rows into blocks)
+        per = max(1, _BLOCK_BYTES // (8 * k * work.shape[1]) // len(work))
         runs = []
         for lo in range(0, repeats, per):
             batch = seeds[lo : lo + per]

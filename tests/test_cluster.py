@@ -296,15 +296,12 @@ class TestBatchedRestarts:
     """run_experiment clusters all restarts of a condition in one Lloyd loop;
     each restart must still be the run kmeans' rules give alone."""
 
-    def test_capped_reseeded_runs_across_blocks(self, monkeypatch, cars):
+    def test_capped_reseeded_runs_across_batches(self, monkeypatch, cars):
         # numeric cars (d=4, k=3, n=10) with a cap of 2: some restarts
         # converge and some stop at the cap, some reseed an emptied cluster
         monkeypatch.setattr(cluster, "_MAX_ITERATIONS", 2)
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 3 * 4 * 10 * 3)
         n, k, d = 10, 3, 4
-        group = cluster._BLOCK_BYTES // (8 * k * d) // n
-        per_batch = cluster._BLOCK_BYTES // (8 * n * (k + d))
-        assert 1 < group < per_batch < 20  # several batches, each over two blocks
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * 3)  # batches of 3 restarts
         data = standardize(encode_dataset(cars, EncodeMode.NUMERIC))
         alone = [kmeans(data, k, seed=derive_run_seed(4, 0, r), max_iterations=2) for r in range(20)]
         assert {r.converged for r in alone} == {True, False}
@@ -318,10 +315,11 @@ class TestBatchedRestarts:
         st.integers(1, 12),
         st.integers(0, 2**64 - 1),
         st.sampled_from([1, 2, 3, 100]),
-        st.sampled_from([None, 1, 2, 3]),
+        st.sampled_from([None, 0.5, 1, 2, 3]),
     )
     def test_each_run_is_the_oracle_run(self, dataset, mode, repeats, master_seed, cap, groups):
-        # groups: restarts per distance block (None: the default block size)
+        # groups: restarts per batch and distance block (None: the default
+        # block size; 0.5: batches of one restart over two row blocks)
         try:
             d = 2 * standardize(encode_dataset(dataset, mode)).data.shape[1]
         except DataError:  # a coded column with no spread cannot be standardized
@@ -330,7 +328,7 @@ class TestBatchedRestarts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cluster, "_MAX_ITERATIONS", cap)
             if groups is not None:
-                mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * max(d, 1) * dataset.n_rows * groups)
+                mp.setattr(cluster, "_BLOCK_BYTES", int(8 * k * max(d, 1) * dataset.n_rows * groups))
             assert_runs_match_the_oracles(dataset, [mode], repeats, master_seed, cap)
 
     @settings(max_examples=80, deadline=None)
@@ -352,6 +350,8 @@ class TestBatchedRestarts:
         data = rng.integers(-2, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
         k = min(k, n)
         with pytest.MonkeyPatch.context() as mp:
+            # groups: restarts one distance block holds; with more live
+            # restarts than that, each block takes fewer rows of them all
             if groups is not None:
                 mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * groups)
             assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
