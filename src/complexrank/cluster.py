@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .coding import CodedMatrix, EncodeMode, encode_dataset
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, factorize
 from .space import real_expansion, standardize
 
 RNG_NOTE = "numpy.random.default_rng (PCG64)"
@@ -58,9 +58,16 @@ class ClusteringResult:
     centroids: np.ndarray
     inertia: float
     iterations: int
-    seed: int | None
     converged: bool  # assignments repeated before max_iterations ran out
     reseeds: int  # empty clusters restarted on a farthest point
+
+
+def _count(name: str, value: int) -> None:
+    """Refuse a count that is not an int (a bool is none) of at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _working_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -105,14 +112,10 @@ def kmeans(
     if not checked and not np.isfinite(work).all():
         raise DataError("k-means needs finite data; the matrix has NaN or infinite cells")
     n = work.shape[0]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _count("k", k)
     if k > n:
         raise ValueError(f"k={k} exceeds the number of rows ({n})")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    _count("max_iterations", max_iterations)
 
     if initial_centroids is None:
         start = _start(work, k, [seed])
@@ -120,9 +123,16 @@ def kmeans(
         init, init_complex = _working_view(initial_centroids)
         if init_complex != was_complex or init.shape != (k, work.shape[1]):
             raise ValueError("initial_centroids must be k rows matching the data layout")
+        if not np.isfinite(init).all():
+            raise DataError("initial_centroids has NaN or infinite cells; k-means needs a finite start")
         start = init[None]
 
-    assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(work, start, max_iterations)
+    # finite data can still overflow float64 in a distance or a cluster
+    # sum; the result is checked instead of warning mid-loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(work, start, max_iterations)
+    if not (np.isfinite(centroids).all() and np.isfinite(inertia[0])):
+        raise DataError("k-means overflowed: the data is too large in modulus for float64 distances and means")
     centroids = centroids[0]
     if was_complex:
         centroids = centroids.view(np.complex128)
@@ -130,7 +140,7 @@ def kmeans(
     assignments = assignments[0]
     assignments.flags.writeable = False
     return ClusteringResult(
-        assignments, centroids, float(inertia[0]), int(iterations[0]), seed,
+        assignments, centroids, float(inertia[0]), int(iterations[0]),
         bool(converged[0]), int(reseeds[0]),
     )
 
@@ -238,25 +248,17 @@ def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:
     exactly as an assignment problem on the label x cluster count table,
     for any number of clusters.
     """
-    assign = list(assignments)
-    labs = list(labels)
-    if len(assign) != len(labs):
-        raise ValueError(f"length mismatch: {len(assign)} assignments, {len(labs)} labels")
-    if not assign:
+    cluster_codes, clusters = factorize(assignments)
+    label_codes, distinct = factorize(labels)
+    if len(cluster_codes) != len(label_codes):
+        raise ValueError(f"length mismatch: {len(cluster_codes)} assignments, {len(label_codes)} labels")
+    if not len(cluster_codes):
         raise ValueError("purity_accuracy() needs at least one point")
-    clusters, cluster_codes = np.unique(assign, return_inverse=True)
-    label_codes, n_labels = _label_codes(labs)
-    if n_labels > len(clusters):
+    if len(distinct) > len(clusters):
         raise ValueError(
-            f"{n_labels} labels cannot be matched injectively to {len(clusters)} clusters"
+            f"{len(distinct)} labels cannot be matched injectively to {len(clusters)} clusters"
         )
-    return _purities(cluster_codes[None], label_codes, n_labels, len(clusters))[0]
-
-
-def _label_codes(labels: Sequence[str]) -> tuple[np.ndarray, int]:
-    """Each label's index among the distinct labels, and their number."""
-    index: dict[str, int] = {}
-    return np.array([index.setdefault(l, len(index)) for l in labels], dtype=np.intp), len(index)
+    return _purities(cluster_codes[None], label_codes, len(distinct), len(clusters))[0]
 
 
 def _purities(assignments: np.ndarray, labels: np.ndarray, n_labels: int, n_clusters: int) -> list[float]:
@@ -398,30 +400,12 @@ class ExperimentReport:
     k: int
     conditions: tuple[ConditionResult, ...]
 
-    def _head(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "repeats": self.repeats,
-            "k": self.k,
-            "rng": {"generator": RNG_NOTE, "seed_derivation": SEED_NOTE},
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self._head(),
-            "conditions": [
-                {
-                    "name": c.name,
-                    "runs": [asdict(r) for r in c.runs],
-                    "buckets": c.buckets,
-                }
-                for c in self.conditions
-            ],
-        }
-
     def to_json(self) -> str:
-        """The text of `json.dumps(self.to_json_dict(), indent=2) + "\n"`, byte for byte.
+        """The report as JSON in `json.dumps(indent=2)` layout, newline-terminated.
 
+        The object holds master_seed, repeats, k, rng (the generator and
+        seed derivation notes) and conditions, each with its name, its
+        runs (seed, accuracy, inertia, iterations) and its bucket counts.
         Each run is written through one template instead of json's
         encoder; a non-finite accuracy or inertia raises ValueError.
         """
@@ -437,7 +421,12 @@ class ExperimentReport:
             for c in self.conditions
         ]
         # the head dump is a non-empty object: "{\n" + fields + "\n}"
-        head = json.dumps(self._head(), indent=2)[:-2]
+        head = json.dumps({
+            "master_seed": self.master_seed,
+            "repeats": self.repeats,
+            "k": self.k,
+            "rng": {"generator": RNG_NOTE, "seed_derivation": SEED_NOTE},
+        }, indent=2)[:-2]
         return f'{head},\n  "conditions": {_json_list(conditions, "  ")}\n}}\n'
 
     def render_table(self) -> str:
@@ -492,14 +481,14 @@ def run_experiment(
     condition are clustered together in one batched Lloyd loop and each
     scored as kmeans and purity_accuracy would score it.
     """
-    labels = dataset.decision_labels()
-    if labels is None:
+    decision = dataset.schema.decision_column
+    if decision is None:
         raise DataError("the experiment needs a decision column to score against")
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
+    _count("repeats", repeats)
     if not conditions:
         raise ValueError("at least one condition is required")
-    label_codes, k = _label_codes(labels)
+    label_codes, vocabulary = dataset.codes(decision.name)
+    k = len(vocabulary)
     results = []
     for ci, mode in enumerate(conditions):
         work = real_expansion(standardize(encode_dataset(dataset, mode)).data)

@@ -119,10 +119,6 @@ class AttributeSchema:
             for i, c in enumerate(read_field(doc, "columns", list, "schema"), start=1)
         ))
 
-    def to_json(self) -> str:
-        doc = {"columns": [{"name": c.name, "role": c.role.value} for c in self.columns]}
-        return json.dumps(doc, indent=2) + "\n"
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
@@ -228,23 +224,6 @@ class Dataset:
             for (a, va), (b, vb) in zip(self._columns, other._columns)
         )
 
-    def to_csv(self) -> str:
-        """Serialize back to the strict CSV dialect parse_csv() accepts."""
-        columns = []
-        for j, (col, (values, vocabulary)) in enumerate(zip(self.schema.columns, self._columns), 1):
-            if vocabulary is None:
-                columns.append([_format_number(v) for v in values.tolist()])
-                continue
-            for c, token in enumerate(vocabulary):
-                if not _fits_cell(token):
-                    raise DataError(
-                        f"row {int(np.argmax(values == c)) + 1}, column {j} ({col.name!r}): "
-                        f"token {token!r} cannot be written without quoting"
-                    )
-            columns.append(self.column(col.name))
-        lines = [",".join(self.schema.names), *map(",".join, zip(*columns))]
-        return "\n".join(lines) + "\n"
-
 
 def _fits_cell(text: str) -> bool:
     """Whether parse_csv reads text back unchanged as one unquoted cell.
@@ -253,17 +232,6 @@ def _fits_cell(text: str) -> bool:
     breaks on more than \\n and \\r (\\x0c, \\x85, \\u2028, ...).
     """
     return text.strip() == text and "," not in text and text.splitlines() == [text]
-
-
-def _format_number(v: float) -> str:
-    s = repr(v)
-    if _NUMBER.fullmatch(s):
-        return s
-    # repr fell back to exponent form; spell the value out. The decimal
-    # expansion of a finite binary double has at most 1074 fraction digits,
-    # so this stays exact and always matches _NUMBER.
-    s = f"{v:.1074f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
 
 
 def csv_header(text: str) -> list[str]:

@@ -7,6 +7,7 @@ sides of a comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -166,6 +167,41 @@ def reference_encode_json(matrix, mode) -> str:
     from complexrank import coded_matrix_to_json_dict
 
     doc = {"mode": mode.value, **coded_matrix_to_json_dict(matrix)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_csv(dataset) -> str:
+    """A dataset as CSV text: the header line, then one line per row.
+
+    Numbers are written by repr and tokens as they are, joined with ','.
+    Only for tables that parse_csv can read back: no token holds a comma
+    or a line break or starts or ends with whitespace, and every number's
+    repr is a plain decimal.
+    """
+    names = dataset.schema.names
+    columns = [[repr(c) if isinstance(c, float) else c for c in dataset.column(n)] for n in names]
+    return "\n".join([",".join(names), *map(",".join, zip(*columns))]) + "\n"
+
+
+def reference_report_json(report) -> str:
+    """`experiment --json` text through json's own encoder.
+
+    The head fields, the rng notes, then per condition its name, its runs
+    as `dataclasses.asdict` gives them and its bucket counts, laid out by
+    `json.dumps(indent=2)`.
+    """
+    from complexrank.cluster import RNG_NOTE, SEED_NOTE
+
+    doc = {
+        "master_seed": report.master_seed,
+        "repeats": report.repeats,
+        "k": report.k,
+        "rng": {"generator": RNG_NOTE, "seed_derivation": SEED_NOTE},
+        "conditions": [
+            {"name": c.name, "runs": [dataclasses.asdict(r) for r in c.runs], "buckets": c.buckets}
+            for c in report.conditions
+        ],
+    }
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -33,6 +33,7 @@ from .oracles import (
     brute_force_purity,
     exhaustive_kmeans_inertia,
     naive_kmeans_inertia,
+    reference_report_json,
 )
 
 
@@ -124,9 +125,25 @@ class TestKmeansBasics:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
     def test_non_finite_raw_array_rejected(self, bad):
         data = random_points(3, 10, 2)
+        start = data[:2].copy()
+        start[1, 0] = bad
+        with pytest.raises(DataError, match="initial_centroids has NaN or infinite cells"):
+            kmeans(data, 2, initial_centroids=start)
         data[4, 1] = bad
         with pytest.raises(DataError, match="finite"):
             kmeans(data, 2, seed=0)
+
+    @pytest.mark.parametrize("data, k", [
+        ([[1e308, 0.0], [1e308, 1.0], [1e308, 2.0]], 1),  # a cluster sum overflows
+        ([[1.7e308], [-1.7e308], [1.0], [2.0]], 2),  # a distance overflows
+    ])
+    def test_overflow_on_finite_data_rejected(self, data, k):
+        # pyproject turns a RuntimeWarning into an error, so this also
+        # checks that the overflow is refused without one; seeds 1 to 3
+        # start the second case where a subtraction overflows
+        for seed in range(4):
+            with pytest.raises(DataError, match="k-means overflowed"):
+                kmeans(np.array(data), k, seed=seed)
 
     def test_inertia_never_increases(self, cars):
         # checked from outside: a run cut after t passes has no more
@@ -175,6 +192,9 @@ class TestKmeansBasics:
             kmeans(data, 2.0)
         with pytest.raises(ValueError):
             kmeans(data, 2, max_iterations=0)
+        for k, cap in [(True, 1), (2, 2.5), (2, True), (2, np.float64(3))]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                kmeans(data, k, max_iterations=cap)
         with pytest.raises(ValueError):
             kmeans(data, 2, initial_centroids=np.zeros((3, 2)))
 
@@ -441,14 +461,19 @@ class TestPurity:
     @given(
         st.lists(
             st.tuples(st.integers(0, 6), st.sampled_from("ABCDEF")), min_size=1, max_size=40
-        )
+        ),
+        st.permutations(range(7)),
     )
-    def test_equals_the_brute_force_oracle(self, pairs):
+    def test_equals_the_brute_force_oracle(self, pairs, perm):
         # few points over up to 7 x 6 cells: tied contingency counts are common
         assignments, labels = (list(t) for t in zip(*pairs))
         if len(set(labels)) > len(set(assignments)):
             return
-        assert purity_accuracy(assignments, labels) == brute_force_purity(assignments, labels)
+        want = brute_force_purity(assignments, labels)
+        assert purity_accuracy(assignments, labels) == want
+        # relabelled cluster ids reorder the count table's columns only
+        relabelled = [perm[a] for a in assignments]
+        assert purity_accuracy(relabelled, labels) == brute_force_purity(relabelled, labels) == want
 
     @given(
         st.lists(st.integers(0, 2), min_size=6, max_size=30),
@@ -553,13 +578,13 @@ class TestRunExperiment:
     def test_json_document_round_trips(self, cars):
         report = run_experiment(cars, repeats=2, master_seed=0)
         doc = json.loads(report.to_json())
-        assert doc == report.to_json_dict()
+        assert doc == json.loads(reference_report_json(report))
         assert doc["rng"]["generator"].startswith("numpy.random.default_rng")
 
     @pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1])
     def test_json_writer_matches_json_dumps(self, cars, master_seed):
         report = run_experiment(cars, conditions=list(EncodeMode), repeats=6, master_seed=master_seed)
-        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert report.to_json() == reference_report_json(report)
 
     def test_json_writer_edge_values_and_empty_lists(self):
         runs = (
@@ -569,7 +594,7 @@ class TestRunExperiment:
         )
         conditions = (ConditionResult('odd "name" \\ \u00e9\n', runs), ConditionResult("none", ()))
         for report in (ExperimentReport(3, 3, 2, conditions), ExperimentReport(0, 1, 1, ())):
-            assert report.to_json() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+            assert report.to_json() == reference_report_json(report)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_writer_refuses_non_finite_numbers(self, bad):
@@ -603,6 +628,9 @@ class TestRunExperiment:
     def test_rejects_bad_repeats(self, cars):
         with pytest.raises(ValueError):
             run_experiment(cars, repeats=0)
+        for repeats in (True, 2.0):
+            with pytest.raises(ValueError, match="repeats must be an integer"):
+                run_experiment(cars, repeats=repeats)
 
     def test_rejects_empty_conditions(self, cars):
         with pytest.raises(ValueError):
