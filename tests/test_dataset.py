@@ -257,6 +257,26 @@ class TestCarsFixture:
         assert again == cars
 
 
+# why write_csv and the round-trip strategies keep to tokens without
+# separators or outer blanks: parse_csv has no quoting
+@pytest.mark.parametrize("brk", [",", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
+def test_parse_csv_splits_tokens_at_separators(brk):
+    schema = make_schema(("x", "numeric"), ("c", "nominal"))
+    with pytest.raises(DataError, match=r"^row \d: expected 2 cells, found [13]"):
+        parse_csv(f"x,c\n1.0,ok\n2.0,a{brk}b\n", schema)
+
+
+@pytest.mark.parametrize("token", [" a", "a\t", "\xa0", " "])
+def test_parse_csv_strips_outer_blanks_from_tokens(token):
+    schema = make_schema(("x", "numeric"), ("c", "nominal"))
+    text = f"x,c\n1.0,ok\n2.0,{token}\n"
+    if token.strip():
+        assert parse_csv(text, schema).column("c") == ["ok", token.strip()]
+    else:
+        with pytest.raises(DataError, match=r"^row 2, column 2 \('c'\): empty value$"):
+            parse_csv(text, schema)
+
+
 simple_token = st.text(alphabet="abcdefXYZ_.-", min_size=1, max_size=6)
 # every line boundary str.splitlines() knows
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
