@@ -45,14 +45,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int, message: str):
-    """An argparse type for integers >= low; `message` formats a smaller one."""
+def _int_at_least(low: int, message: str, below: int | None = None):
+    """An argparse type for integers >= low (and < below, if given); `message` formats one outside."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < low:
+        if value < low or below is not None and value >= below:
             raise argparse.ArgumentTypeError(message.format(value))
         return value
     return parse
@@ -60,6 +60,8 @@ def _int_at_least(low: int, message: str):
 
 _positive_int = _int_at_least(1, "expected a positive integer, got {}")
 _seed = _int_at_least(0, "seed must be non-negative, got {}")
+# run seeds mix the master seed as a 64-bit word; a wider one would alias
+_master_seed = _int_at_least(0, "master seed must be in [0, 2**64), got {}", below=2**64)
 
 
 def _mode(text: str) -> EncodeMode:
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     # parser-level defaults override the argument-level None of add_io
     p_exp.set_defaults(input=cars_csv_path(), schema=cars_schema_path())
     p_exp.add_argument("--repeats", type=_positive_int, default=20)
-    p_exp.add_argument("--seed", type=_seed, default=0, help="master seed")
+    p_exp.add_argument("--seed", type=_master_seed, default=0, help="master seed, below 2**64")
     p_exp.add_argument(
         "--conditions",
         type=_conditions,

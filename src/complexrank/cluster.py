@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ RNG_NOTE = "numpy.random.default_rng (PCG64)"
 SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
 
 _M64 = (1 << 64) - 1
+_M32 = (1 << 32) - 1
 
 # Bytes of broadcast scratch per block of (restart, row) pairs in the
 # k-means distance step; small enough to stay in cache, large enough to
@@ -36,7 +38,10 @@ _MAX_ITERATIONS = 100
 
 
 def splitmix64(x: int) -> int:
-    """One step of the splitmix64 mixing function (public domain constants)."""
+    """One step of the splitmix64 mixing function (public domain constants).
+
+    x is a Python int or a uint64 array, which is mixed element by element.
+    """
     x = (x + 0x9E3779B97F4A7C15) & _M64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -45,7 +50,10 @@ def splitmix64(x: int) -> int:
 
 
 def derive_run_seed(master_seed: int, condition_index: int, run_index: int) -> int:
-    """Deterministic per-run seed, decorrelated across conditions and runs."""
+    """Deterministic per-run seed, decorrelated across conditions and runs.
+
+    A uint64 array of run indices gives the array of their seeds.
+    """
     s = splitmix64(master_seed & _M64)
     s = splitmix64(s ^ (condition_index & _M64))
     s = splitmix64(s ^ (run_index & _M64))
@@ -80,10 +88,129 @@ def _working_view(data: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(a, dtype=np.float64), False
 
 
-def _start(work: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
-    """(restarts, k, d) starting centroids: k distinct random rows per seed."""
-    n = work.shape[0]
-    return work[np.stack([np.random.default_rng(s).choice(n, size=k, replace=False) for s in seeds])]
+# numpy's SeedSequence hash constants, and the low and high words of the
+# 128-bit multiplier of PCG64's LCG
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_LO, _PCG_HI = 0x4385DF649FCCF645, 0x2360ED051FC65DA4
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash of uint32 arrays; the constant steps on every call."""
+    def hash_(v):
+        nonlocal const
+        v = v ^ const
+        const = const * mult & _M32
+        v = v * const
+        return v ^ v >> 16
+    return hash_
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ v >> 16
+
+
+class _PCG64:
+    """numpy's PCG64(SeedSequence(s)), one stream per seed s, run as arrays.
+
+    The seeding, the 128-bit LCG with XSL-RR output and next_uint32 are
+    those of numpy 2.x (O'Neill 2014), on 64-bit words.
+    """
+
+    def __init__(self, seeds: list[int]):
+        # the seed's 32-bit words, low first, hash into a pool of four; a
+        # zero word hashes as a missing one does, so only the words past
+        # the fourth depend on how many words a seed has
+        counts = np.array([(s.bit_length() + 31) // 32 for s in seeds])
+        width = max(4, counts.max())
+        words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds), "<u4")
+        words = words.reshape(-1, width).T.astype(np.uint32)
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(w) for w in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, width):
+            for dst in range(4):
+                pool[dst] = np.where(counts > src, _mix(pool[dst], hashmix(words[src])), pool[dst])
+        # generate_state(4, np.uint64): the pool hashed out twice, paired
+        # into 64-bit words low half first
+        out = _hasher(_INIT_B, _MULT_B)
+        state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+        init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+        # pcg64_set_seed: inc = 2 seq + 1; a step from state 0 gives inc,
+        # the initial state is added, and the LCG steps once more
+        self.inc_hi, self.inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        self.lo = self.inc_lo + init_lo
+        self.hi = self.inc_hi + init_hi + (self.lo < init_lo)
+        self.every = np.arange(len(seeds))
+        self.buffered = np.zeros(len(seeds), dtype=bool)
+        self.high_half = np.zeros(len(seeds), dtype=np.uint64)
+        self._next64(self.every)
+
+    def _next64(self, who: np.ndarray) -> np.ndarray:
+        """Step the streams `who` (state * multiplier + inc) and return their outputs."""
+        hi, lo = self.hi[who], self.lo[who]
+        # the high word of lo * _PCG_LO, from 32-bit pieces
+        a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_LO & _M32, _PCG_LO >> 32
+        cross0, cross1 = a0 * b1, a1 * b0
+        carry = ((a0 * b0 >> 32) + (cross0 & _M32) + (cross1 & _M32)) >> 32
+        hi = a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + carry + lo * _PCG_HI + hi * _PCG_LO
+        lo = lo * _PCG_LO + self.inc_lo[who]
+        hi += self.inc_hi[who] + (lo < self.inc_lo[who])
+        self.hi[who], self.lo[who] = hi, lo
+        x, turn = hi ^ lo, hi >> 58  # XSL-RR: xor the halves, rotate right
+        return x >> turn | x << (64 - turn & 63)
+
+    def _next32(self, who: np.ndarray) -> np.ndarray:
+        """next_uint32 of the streams `who`: a new output's low half, else the buffered high half."""
+        buffered = self.buffered[who]
+        fresh = who[~buffered]
+        out = self.high_half[who]
+        word = self._next64(fresh)
+        out[~buffered] = word & _M32
+        self.high_half[fresh] = word >> 32
+        self.buffered[who] = ~buffered
+        return out
+
+    def bounded(self, high: int) -> np.ndarray:
+        """One draw in [0, high] per stream by Lemire's method; high = 0 takes no word."""
+        span = high + 1
+        threshold = (2**32 - span) % span
+        m = self._next32(self.every) * span if high else np.zeros(len(self.every), dtype=np.uint64)
+        redo = np.flatnonzero(m & _M32 < threshold)
+        while redo.size:
+            m[redo] = self._next32(redo) * span
+            redo = redo[m[redo] & _M32 < threshold]
+        return (m >> 32).astype(np.intp)
+
+
+def _start(work: np.ndarray, k: int, seeds: list[int]) -> np.ndarray:
+    """(restarts, k, d) starting centroids: k distinct random rows per seed.
+
+    Seed s picks the rows of np.random.default_rng(s).choice(n, k,
+    replace=False) under numpy 2.x, in that order; all seeds draw at once.
+    """
+    n = len(work)
+    rng = _PCG64(seeds)
+    at = rng.every
+    if n > 10000 and k > n // 50:
+        # numpy shuffles the tail of arange(n); its last k entries are the rows
+        rows, first = np.tile(np.arange(n), (len(at), 1)), max(n - k, 1)
+    else:
+        # Floyd's algorithm: a draw in [0, j] already taken takes j instead;
+        # the k picks are then shuffled
+        rows, first = np.empty((len(at), k), dtype=np.intp), 1
+        for t, j in enumerate(range(n - k, n)):
+            v = rng.bounded(j)
+            rows[:, t] = np.where((rows[:, :t] == v[:, None]).any(axis=1), j, v)
+    for i in range(rows.shape[1] - 1, first - 1, -1):  # Fisher-Yates, from the end
+        j = rng.bounded(i)
+        rows[at, i], rows[at, j] = rows[at, j], rows[at, i]
+    return work[rows[:, -k:]]
 
 
 def kmeans(
@@ -102,6 +229,10 @@ def kmeans(
     own centroid. The loop stops when assignments repeat or after
     max_iterations passes. Everything is deterministic in (data, k, seed).
 
+    seed is a non-negative int (a bool or a numpy integer too), and the
+    starting rows are those of np.random.default_rng(seed).choice(n, k,
+    replace=False), computed in this module.
+
     initial_centroids bypasses the random start, e.g. to resume from a
     previous result.
     """
@@ -118,6 +249,9 @@ def kmeans(
     _count("max_iterations", max_iterations)
 
     if initial_centroids is None:
+        seed = operator.index(seed)  # numpy's seed rule: any int, bool or numpy integer
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         start = _start(work, k, [seed])
     else:
         init, init_complex = _working_view(initial_centroids)
@@ -487,12 +621,14 @@ def run_experiment(
     _count("repeats", repeats)
     if not conditions:
         raise ValueError("at least one condition is required")
+    if not 0 <= master_seed <= _M64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     label_codes, vocabulary = dataset.codes(decision.name)
     k = len(vocabulary)
     results = []
     for ci, mode in enumerate(conditions):
         work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
-        seeds = [derive_run_seed(master_seed, ci, ri) for ri in range(repeats)]
+        seeds = derive_run_seed(master_seed, ci, np.arange(repeats, dtype=np.uint64)).tolist()
         # restarts per batch: as many as one distance block holds, so the
         # distance scratch and the inertia step's temporaries stay within
         # _BLOCK_BYTES (a batch of one restart splits its rows into blocks)

@@ -221,6 +221,11 @@ def brute_force_purity(assignments, labels) -> float:
     return best / len(assignments)
 
 
+def numpy_choice(n: int, k: int, seeds) -> np.ndarray:
+    """(len(seeds), k): np.random.default_rng(s).choice(n, k, replace=False) per seed."""
+    return np.stack([np.random.default_rng(s).choice(n, size=k, replace=False) for s in seeds])
+
+
 def broadcast_kmeans(data, k: int, seed: int = 0, max_iterations: int = 100, initial_centroids=None):
     """Lloyd k-means with every distance from one full n x k x d broadcast.
 
@@ -240,8 +245,7 @@ def broadcast_kmeans(data, k: int, seed: int = 0, max_iterations: int = 100, ini
         work = np.ascontiguousarray(a, dtype=np.float64)
     n = work.shape[0]
     if initial_centroids is None:
-        rows = np.random.default_rng(seed).choice(n, size=k, replace=False)
-        centroids = work[rows].copy()
+        centroids = work[numpy_choice(n, k, [seed])[0]]
     else:
         init = np.asarray(initial_centroids)
         centroids = (init.astype(np.complex128).view(np.float64) if was_complex

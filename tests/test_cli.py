@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode
+from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode, load_cars, standardize
 from complexrank.cli import build_parser, format_complex, main
 from complexrank.cluster import DEFAULT_CONDITIONS
 from complexrank.dataset import cars_csv_path, cars_schema_path
 
-from .oracles import reference_encode_json
+from .oracles import broadcast_kmeans, reference_encode_json
 
 CARS = str(cars_csv_path())
 SCHEMA = str(cars_schema_path())
@@ -252,6 +252,17 @@ class TestClusterCommand:
         assert doc["iterations"] == 3
         assert doc["accuracy"] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**200])
+    def test_any_non_negative_seed_starts_as_numpy_would(self, capsys, seed):
+        code, out, _ = run(
+            capsys, ["cluster", "--input", CARS, "--schema", SCHEMA, "--seed", str(seed), "--json"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        matrix = standardize(encode_dataset(load_cars(), EncodeMode.COMBINED))
+        assert doc["seed"] == seed
+        assert doc["assignments"] == broadcast_kmeans(matrix.data, 3, seed=seed)[0].tolist()
+
     def test_text_output_lists_clusters_one_based(self, capsys):
         code, out, _ = run(
             capsys, ["cluster", "--input", CARS, "--schema", SCHEMA, "--seed", "0"]
@@ -353,6 +364,11 @@ class TestExperimentCommand:
             "adhoc", "numeric", "nominal", "combined",
         ]
 
+    def test_largest_master_seed_runs(self, capsys):
+        code, out, _ = run(capsys, ["experiment", "--json", "--seed", str(2**64 - 1), "--repeats", "2"])
+        assert code == 0
+        assert json.loads(out)["master_seed"] == 2**64 - 1
+
     def test_output_file_matches_stdout_json(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         args = [
@@ -432,8 +448,13 @@ class TestTopLevel:
              "complexrank cluster: error: argument --seed: seed must be non-negative, got -1"),
             (["experiment", "--repeats", "x"],
              "complexrank experiment: error: argument --repeats: 'x' is not an integer"),
+            (["experiment", "--seed", "18446744073709551616"],
+             "complexrank experiment: error: argument --seed: master seed must be in [0, 2**64), "
+             "got 18446744073709551616"),
+            (["experiment", "--seed", "-1"],
+             "complexrank experiment: error: argument --seed: master seed must be in [0, 2**64), got -1"),
         ],
-        ids=["k-zero", "seed-negative", "repeats-not-int"],
+        ids=["k-zero", "seed-negative", "repeats-not-int", "master-seed-2**64", "master-seed-negative"],
     )
     def test_integer_flags_name_the_bad_value(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

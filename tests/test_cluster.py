@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from complexrank import (
     DataError,
@@ -33,6 +33,7 @@ from .oracles import (
     brute_force_purity,
     exhaustive_kmeans_inertia,
     naive_kmeans_inertia,
+    numpy_choice,
     reference_report_json,
 )
 
@@ -181,6 +182,17 @@ class TestKmeansBasics:
         result = kmeans(data, 3, seed=0)
         assert sorted(result.assignments.tolist()) == [0, 1, 2]
         assert result.inertia == 0.0
+
+    @pytest.mark.parametrize("seed", [True, np.int64(3), np.uint64(2**64 - 1), 2**64, 2**130, 2**200])
+    def test_accepted_seeds_start_as_the_oracle(self, seed):
+        assert_matches_broadcast_oracle(random_points(0, 12, 2), 3, seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (np.int64(-2), ValueError), (1.5, TypeError), ("3", TypeError)]
+    )
+    def test_rejected_seeds(self, seed, error):
+        with pytest.raises(error):
+            kmeans(random_points(0, 5, 2), 2, seed=seed)
 
     def test_parameter_validation(self):
         data = random_points(0, 5, 2)
@@ -388,6 +400,91 @@ class TestBatchedRestarts:
             assert (alone.converged, alone.reseeds) == (converged[r], reseeds[r])
 
 
+def start_rows(n, k, seeds):
+    """The rows _start picks for each seed, read from a matrix whose row i holds i."""
+    return cluster._start(np.arange(n, dtype=float)[:, None], k, seeds)[:, :, 0].astype(np.intp)
+
+
+# SeedSequence hashes a seed's 32-bit words: one word below 2**32, two
+# below 2**64, and words past the fourth are mixed into the pool after it
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160, 2**200]
+
+
+@st.composite
+def choice_sizes(draw):
+    # numpy takes Floyd's algorithm up to n = 10000; above, more than
+    # n // 50 rows (201 at n = 10001) come from a tail shuffle of arange(n)
+    n = draw(st.one_of(st.integers(1, 40), st.integers(10001, 10040)))
+    return n, draw(st.integers(1, min(n, 300)))
+
+
+class TestStarts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1), st.integers(0, 2**300)),
+            min_size=1, max_size=6,
+        ),
+        choice_sizes(),
+    )
+    @example(seeds=EDGE_SEEDS, sizes=(10001, 200))
+    @example(seeds=EDGE_SEEDS, sizes=(10001, 201))
+    @example(seeds=EDGE_SEEDS, sizes=(7, 7))
+    def test_rows_are_numpys_choice(self, seeds, sizes):
+        n, k = sizes
+        assert np.array_equal(start_rows(n, k, seeds), numpy_choice(n, k, seeds))
+
+    # rows of np.random.default_rng(seed).choice(n, k, replace=False) in
+    # numpy 2.4, pinned so that report bytes cannot move with numpy; a
+    # tail shuffle (n > 10000, k > n // 50) is pinned by its first six
+    # rows and the sum of all k
+    @pytest.mark.parametrize("seed, n, k, rows", [
+        (0, 10, 3, [5, 9, 6]),
+        (1, 10, 3, [4, 3, 7]),
+        (2**32 - 1, 10, 3, [7, 2, 1]),
+        (2**32, 10, 3, [9, 4, 8]),
+        (2**64 - 1, 10, 3, [6, 4, 9]),
+        (2**64, 10, 3, [7, 0, 4]),
+        (2**128, 10, 3, [6, 3, 5]),
+        (2**200, 10, 3, [5, 6, 7]),
+        (7, 7, 7, [2, 3, 4, 6, 0, 1, 5]),
+        (5, 1, 1, [0]),
+        (12345, 30000, 9, [6818, 6124, 23918, 20970, 20286, 29653, 23654, 19279, 9501]),
+        (3, 20000, 12, [3626, 1882, 4734, 787, 17380, 16221, 8662, 6643, 1712, 3587, 16020, 11640]),
+        (99, 10001, 200, ([1433, 6189, 7234, 3859, 6570, 5480], 1001315)),
+        (42, 10001, 201, ([3589, 9428, 3322, 1156, 3359, 9994], 1022823)),
+    ])
+    def test_pinned_rows(self, seed, n, k, rows):
+        got = start_rows(n, k, [seed])[0]
+        if k > 100:
+            rows, total = rows
+            assert got.sum() == total
+            got = got[:6]
+        assert got.tolist() == rows
+
+    # seeds whose draws hit Lemire's rejection: Floyd's second draw at
+    # n = 2**22 + 1 redraws for about 1 seed in 1000 (seeds 2291 and
+    # 2737), the tail shuffle at n = k = 20000 for about 1 in 40 (seed 63)
+    @pytest.mark.parametrize("n, k, seeds", [(2**22 + 1, 2, [2290, 2291, 2292, 2737]), (20000, 20000, [63])])
+    def test_lemire_redraws(self, monkeypatch, n, k, seeds):
+        words = []  # next_uint32 calls of each bounded draw
+        bounded, next32 = cluster._PCG64.bounded, cluster._PCG64._next32
+
+        def counting_bounded(self, high):
+            words.append(0)
+            return bounded(self, high)
+
+        def counting_next32(self, who):
+            words[-1] += 1
+            return next32(self, who)
+
+        monkeypatch.setattr(cluster._PCG64, "bounded", counting_bounded)
+        monkeypatch.setattr(cluster._PCG64, "_next32", counting_next32)
+        rows = start_rows(n, k, seeds)
+        assert max(words) > 1
+        assert np.array_equal(rows, numpy_choice(n, k, seeds))
+
+
 class TestComplexRealBridge:
     @pytest.mark.parametrize("seed", range(5))
     def test_complex_and_interleaved_real_runs_are_identical(self, cars, seed):
@@ -531,6 +628,12 @@ class TestSeedDerivation:
         }
         assert len(seeds) == 10 * 4 * 20
 
+    def test_array_of_run_indices_gives_the_scalar_seeds(self):
+        runs = np.arange(50, dtype=np.uint64)
+        for master_seed in (0, 9, 2**64 - 1):
+            want = [derive_run_seed(master_seed, 3, r) for r in range(50)]
+            assert derive_run_seed(master_seed, 3, runs).tolist() == want
+
     def test_every_coordinate_matters(self):
         base = derive_run_seed(3, 1, 7)
         assert derive_run_seed(4, 1, 7) != base
@@ -631,6 +734,12 @@ class TestRunExperiment:
         for repeats in (True, 2.0):
             with pytest.raises(ValueError, match="repeats must be an integer"):
                 run_experiment(cars, repeats=repeats)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, 2**64 + 3])
+    def test_rejects_master_seeds_outside_64_bits(self, cars, master_seed):
+        # run seeds mix the master seed as a 64-bit word, so 2**64 would run as 0
+        with pytest.raises(ValueError, match="master_seed"):
+            run_experiment(cars, repeats=1, master_seed=master_seed)
 
     def test_rejects_empty_conditions(self, cars):
         with pytest.raises(ValueError):
