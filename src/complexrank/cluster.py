@@ -29,9 +29,12 @@ SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
 
-# Bytes of broadcast scratch per block of (restart, row) pairs in the
-# k-means distance step; small enough to stay in cache, large enough to
-# amortize the calls.
+# Bytes per block of (restart, row) pairs in the k-means distance step,
+# counted as their n x k x d broadcast: the scratch of each exact chunk,
+# and the size of each screening matrix product, which stays small enough
+# for BLAS to run it on one thread without per-thread buffers (a whole
+# 30,000-row product raised peak RSS by 7-9 MB under OpenBLAS). Small
+# enough to stay in cache, large enough to amortize the calls.
 _BLOCK_BYTES = 2 << 20
 
 _MAX_ITERATIONS = 100
@@ -52,12 +55,16 @@ def splitmix64(x: int) -> int:
 def derive_run_seed(master_seed: int, condition_index: int, run_index: int) -> int:
     """Deterministic per-run seed, decorrelated across conditions and runs.
 
-    A uint64 array of run indices gives the array of their seeds.
+    Each argument is an integer in [0, 2**64), since the chain mixes
+    them as 64-bit words; a uint64 array of run indices gives the array
+    of their seeds.
     """
-    s = splitmix64(master_seed & _M64)
-    s = splitmix64(s ^ (condition_index & _M64))
-    s = splitmix64(s ^ (run_index & _M64))
-    return s
+    for name, value in zip(("master_seed", "condition_index", "run_index"), (master_seed, condition_index, run_index)):
+        if not isinstance(value, np.ndarray) and not 0 <= operator.index(value) <= _M64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    s = splitmix64(master_seed)
+    s = splitmix64(s ^ condition_index)
+    return splitmix64(s ^ run_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +294,13 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     one as soon as its assignments repeat, and empty clusters are
     reseeded restart by restart. Returns per-restart assignments (R, n),
     centroids (R, k, d), inertia, iterations, converged and reseeds.
+
+    Each step screens the argmin with |x|^2 - 2 x.c + |c|^2 from a matrix
+    product and trusts it only where the gap to the runner-up exceeds a
+    rounding bound; the other (restart, row) pairs, and every row of a
+    restart that reseeds, get the per-pair arithmetic of one full
+    n x k x d broadcast, so the results are that broadcast's bit for bit
+    whatever the BLAS build or its summation order.
     """
     R, k, d = centroids.shape
     n = work.shape[0]
@@ -299,11 +313,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     # for d = 1 a cluster's mean sums its contiguous column pairwise,
     # which a bincount would not reproduce, so d = 1 keeps the mean
     columns = np.ascontiguousarray(work.T) if d > 1 else None
-    # squared distances of (row, restart) pairs are filled block by block
-    # with the same per-pair arithmetic as one full n x k x d broadcast,
-    # so results match it bit for bit while the scratch stays within
-    # _BLOCK_BYTES; rows are the outer axis, so a block of rows over all
-    # live restarts is one contiguous slice
+    # the screen takes one matrix product per block of rows over all live
+    # restarts; rows are the outer axis, so a block is one contiguous slice
+    sq = np.einsum("nd,nd->n", work, work)
+    x_max = math.sqrt(sq.max())  # inf if a squared norm overflows
     block = max(1, _BLOCK_BYTES // max(1, 8 * k * d))
     buffer = np.empty(n * R * k)
     live = np.arange(R)
@@ -311,18 +324,36 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
         m = live.size
         cents = centroids[live]
         rows = max(1, block // m)  # one row of every live restart at least
-        d2 = buffer[: n * m * k].reshape(n, m, k)
+        screen = buffer[: n * m * k].reshape(n, m, k)
+        flat = cents.reshape(m * k, d).T
         for s in range(0, n, rows):
-            diff = (work[s : s + rows, None, None, :] - cents).reshape(-1, k, d)
-            np.einsum("nkd,nkd->nk", diff, diff, out=d2[s : s + rows].reshape(-1, k))
-        dist = d2.transpose(1, 0, 2)
-        new = dist.argmin(axis=2)  # ties -> lowest index
+            np.matmul(work[s : s + rows], flat, out=screen[s : s + rows].reshape(-1, m * k))
+        c_sq = np.einsum("mkd,mkd->mk", cents, cents)
+        screen *= -2.0
+        screen += sq[:, None, None]
+        screen += c_sq
+        new = screen.argmin(axis=2).T  # (m, n)
+        if k > 1:
+            # the screen and the exact per-pair einsum each lie within
+            # 2 gamma_(d+3) (|x| + |c|)^2 of the true squared distance, in
+            # any summation order, plus what underflow (to subnormals or to
+            # zero) loses; a gap above twice err makes the screen's argmin
+            # the strict minimum of the exact distances. A NaN or infinite
+            # gap is unsure, hence the negated test
+            r = x_max + math.sqrt(c_sq.max())
+            err = 4 * (d + 4) * (2.0**-52 * r * r + 2.0**-1021)
+            screen.partition(1, axis=2)  # in place: the two smallest of each pair first
+            pts, at = np.nonzero(~(screen[:, :, 1] - screen[:, :, 0] > 2 * err))
+            if pts.size:
+                new[at, pts] = _exact_d2(work, pts, cents, at, block).argmin(axis=1)
         iterations[live] += 1
 
         offsets = (np.arange(m) * k)[:, None]
         sizes = np.bincount((new + offsets).ravel(), minlength=m * k).reshape(m, k)
         for i in np.flatnonzero((sizes == 0).any(axis=1)):
-            own, point_d2 = new[i], dist[i, np.arange(n), new[i]]
+            # the farthest-point reseed reads exact distances of every row
+            own = new[i]
+            point_d2 = _exact_d2(work, np.arange(n), cents, np.full(n, i), block)[np.arange(n), own]
             # a restart only takes a point from a cluster of size > 1, so it
             # never empties a cluster and the empty set found here stays exact
             for c in np.flatnonzero(sizes[i] == 0):
@@ -358,6 +389,19 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     diff = work - centroids[np.arange(R)[:, None], assignments]
     inertia = np.einsum("rnd,rnd->r", diff, diff)
     return assignments, centroids, inertia, iterations, converged, reseeds
+
+
+def _exact_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarray, block: int) -> np.ndarray:
+    """(p, k) squared distances of rows pts to the k centroids of restarts at.
+
+    The per-pair arithmetic of one full n x k x d broadcast, bit for bit,
+    in chunks of `block` pairs.
+    """
+    out = np.empty((pts.size, cents.shape[1]))
+    for s in range(0, pts.size, block):
+        diff = work[pts[s : s + block], None, :] - cents[at[s : s + block]]
+        np.einsum("pkd,pkd->pk", diff, diff, out=out[s : s + block])
+    return out
 
 
 def _bincount_means(columns: np.ndarray, key: np.ndarray, restarts: int, k: int) -> np.ndarray:
@@ -621,21 +665,20 @@ def run_experiment(
     _count("repeats", repeats)
     if not conditions:
         raise ValueError("at least one condition is required")
-    if not 0 <= master_seed <= _M64:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    run_indices = np.arange(repeats, dtype=np.uint64)
+    seeds = [derive_run_seed(master_seed, ci, run_indices).tolist() for ci in range(len(conditions))]
     label_codes, vocabulary = dataset.codes(decision.name)
     k = len(vocabulary)
     results = []
     for ci, mode in enumerate(conditions):
         work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
-        seeds = derive_run_seed(master_seed, ci, np.arange(repeats, dtype=np.uint64)).tolist()
         # restarts per batch: as many as one distance block holds, so the
         # distance scratch and the inertia step's temporaries stay within
         # _BLOCK_BYTES (a batch of one restart splits its rows into blocks)
         per = max(1, _BLOCK_BYTES // (8 * k * work.shape[1]) // len(work))
         runs = []
         for lo in range(0, repeats, per):
-            batch = seeds[lo : lo + per]
+            batch = seeds[ci][lo : lo + per]
             assignments, _, inertia, iterations, _, _ = _lloyd(work, _start(work, k, batch), _MAX_ITERATIONS)
             accuracy = _purities(assignments, label_codes, k, k)
             runs += map(RunRecord, batch, accuracy, inertia.tolist(), iterations.tolist())

@@ -245,8 +245,15 @@ def assert_matches_broadcast_oracle(data, k, **kwargs):
     assert got.iterations == iterations
 
 
+# (offset, spread) of data whose screened distances cannot decide the
+# argmin alone: squared norms that overflow while differences stay small,
+# squared distances in the subnormal range (at 1e-161 a few dozen subnormal
+# steps apart), and ones that all underflow to 0
+EXTREME_SCALES = [(1e154, 1e150), (0.0, 1e-160), (0.0, 1e-161), (0.0, 1e-300)]
+
+
 class TestBlockedDistances:
-    """Row-blocked distances give the full broadcast's results bit for bit."""
+    """Row-blocked, screened distances give the full broadcast's results bit for bit."""
 
     @pytest.fixture
     def four_row_blocks(self, monkeypatch):
@@ -267,11 +274,35 @@ class TestBlockedDistances:
     def test_single_cluster(self, four_row_blocks):
         assert_matches_broadcast_oracle(random_points(5, 21, 4, complex_valued=False), 1)
 
+    @pytest.mark.parametrize("n, d, k", [(13, 1, 3), (13, 1, 1), (9, 3, 9), (9, 1, 9)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_column_and_one_row_per_cluster(self, four_row_blocks, n, d, k, seed):
+        assert_matches_broadcast_oracle(random_points(seed, n, d, complex_valued=False), k, seed=seed)
+
+    @pytest.mark.parametrize("offset, spread", EXTREME_SCALES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extreme_scales(self, four_row_blocks, offset, spread, seed):
+        data = offset + spread * random_points(seed, 200, 3, complex_valued=False)
+        assert_matches_broadcast_oracle(data, 4, seed=seed)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicate_rows_tie_exactly(self, four_row_blocks, seed):
         base = np.random.default_rng(seed).integers(-2, 3, size=(5, 4)).astype(float)
         data = np.concatenate([base, base[::-1], base, base[:2]])
         assert_matches_broadcast_oracle(data, 3, seed=seed)
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0**30])
+    def test_planted_ties_go_to_the_lowest_index(self, four_row_blocks, offset):
+        # rows with x0 = 0 sit exactly between the first two centroids; the
+        # offset keeps every coordinate an exact integer but puts the
+        # screen's rounding (about |x|^2 * 2**-52) far above 1
+        grid = np.array([[a, b, c, 0] for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (0, 1)], dtype=float)
+        far = np.array([[3.0, 0, 0, 8], [3.0, 1, 0, 8]])
+        data = offset + np.concatenate([grid, far, grid[::-1], grid[:5]])
+        init = offset + np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0], far[0]])
+        assert_matches_broadcast_oracle(data, 3, initial_centroids=init)
+        first = kmeans(data, 3, initial_centroids=init, max_iterations=1).assignments
+        assert set(first[data[:, 0] == offset].tolist()) == {0}
 
     def test_several_clusters_empty_in_one_step(self, four_row_blocks):
         data = random_points(8, 14, 4, complex_valued=False)
@@ -373,31 +404,53 @@ class TestBatchedRestarts:
         st.sampled_from([None, 1, 2, 3]),
         st.integers(0, 2**32 - 1),
         st.booleans(),
+        st.sampled_from([(0.0, 1.0), (2.0**30, 1.0)] + EXTREME_SCALES),
     )
-    def test_each_restart_is_the_oracle_run(self, n, d, k, seeds, cap, groups, data_seed, ties):
+    def test_each_restart_is_the_oracle_run(self, n, d, k, seeds, cap, groups, data_seed, ties, scale):
         # the batched loop itself on real inputs, d = 1 (the mean update) and
         # d >= 2: small integers tie often; normal floats in clusters of 8 or
-        # more rows sum pairwise in mean(axis=0) when d = 1
+        # more rows sum pairwise in mean(axis=0) when d = 1. An offset of
+        # 2**30 keeps integer ties exact where the screen cannot see them
         rng = np.random.default_rng(data_seed)
         data = rng.integers(-2, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
-        k = min(k, n)
-        with pytest.MonkeyPatch.context() as mp:
-            # groups: restarts one distance block holds; with more live
-            # restarts than that, each block takes fewer rows of them all
-            if groups is not None:
-                mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * groups)
-            assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
-                data, cluster._start(data, k, seeds), cap
-            )
-        for r, seed in enumerate(seeds):
-            want = broadcast_kmeans(data, k, seed=seed, max_iterations=cap)
-            assert np.array_equal(assignments[r], want[0])
-            assert centroids[r].tobytes() == want[1].tobytes()
-            assert (inertia[r], iterations[r]) == (want[2], want[3])
-            # converged: the assignments repeated within the cap
-            assert converged[r] == (broadcast_kmeans(data, k, seed=seed, max_iterations=cap + 1)[3] <= cap)
-            alone = kmeans(data, k, seed=seed, max_iterations=cap)
-            assert (alone.converged, alone.reseeds) == (converged[r], reseeds[r])
+        offset, spread = scale
+        assert_restarts_match_the_oracle(offset + spread * data, min(k, n), seeds, cap, groups)
+
+    @pytest.mark.parametrize("groups", [None, 1, 3])
+    def test_underflowing_distances_reseed_every_restart(self, groups):
+        # every squared distance underflows to 0, so all rows tie on
+        # cluster 0 and each restart reseeds its other clusters
+        data = 1e-300 * random_points(2, 30, 3, complex_valued=False)
+        seeds = list(range(6))
+        reseeds = assert_restarts_match_the_oracle(data, 3, seeds, 100, groups)
+        assert (reseeds >= 2).all()
+
+
+def assert_restarts_match_the_oracle(data, k, seeds, cap, groups):
+    """_lloyd from the starts of `seeds` equals broadcast_kmeans of each seed
+    alone, and its converged and reseeds the R = 1 kmeans; returns reseeds.
+
+    groups: restarts one distance block holds (None: the default block).
+    """
+    n, d = data.shape
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        # with more live restarts than a block holds, each block takes
+        # fewer rows of them all
+        if groups is not None:
+            mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * groups)
+        assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
+            data, cluster._start(data, k, seeds), cap
+        )
+    for r, seed in enumerate(seeds):
+        want = broadcast_kmeans(data, k, seed=seed, max_iterations=cap)
+        assert np.array_equal(assignments[r], want[0])
+        assert centroids[r].tobytes() == want[1].tobytes()
+        assert (inertia[r], iterations[r]) == (want[2], want[3])
+        # converged: the assignments repeated within the cap
+        assert converged[r] == (broadcast_kmeans(data, k, seed=seed, max_iterations=cap + 1)[3] <= cap)
+        alone = kmeans(data, k, seed=seed, max_iterations=cap)
+        assert (alone.converged, alone.reseeds) == (converged[r], reseeds[r])
+    return reseeds
 
 
 def start_rows(n, k, seeds):
@@ -629,10 +682,24 @@ class TestSeedDerivation:
         assert len(seeds) == 10 * 4 * 20
 
     def test_array_of_run_indices_gives_the_scalar_seeds(self):
-        runs = np.arange(50, dtype=np.uint64)
-        for master_seed in (0, 9, 2**64 - 1):
-            want = [derive_run_seed(master_seed, 3, r) for r in range(50)]
-            assert derive_run_seed(master_seed, 3, runs).tolist() == want
+        runs = [*range(50), 2**63, 2**64 - 1]
+        for master_seed, condition in ((0, 3), (9, 0), (2**64 - 1, 2**64 - 1)):
+            want = [derive_run_seed(master_seed, condition, r) for r in runs]
+            assert derive_run_seed(master_seed, condition, np.array(runs, dtype=np.uint64)).tolist() == want
+
+    @pytest.mark.parametrize("args, name", [
+        ((2**64, 0, 0), "master_seed"),
+        ((-1, 0, 0), "master_seed"),
+        ((np.int64(-1), 0, 0), "master_seed"),
+        ((0, -1, 0), "condition_index"),
+        ((0, 2**64, 0), "condition_index"),
+        ((0, 0, -1), "run_index"),
+        ((0, 0, 2**65 + 3), "run_index"),
+    ])
+    def test_rejects_arguments_outside_64_bits(self, args, name):
+        # a 64-bit mask would run 2**64 as 0 and -1 as 2**64 - 1
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            derive_run_seed(*args)
 
     def test_every_coordinate_matters(self):
         base = derive_run_seed(3, 1, 7)
