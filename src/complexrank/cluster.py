@@ -30,11 +30,11 @@ _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
 
 # Bytes per block of (restart, row) pairs in the k-means distance step,
-# counted as their n x k x d broadcast: the scratch of each exact chunk,
-# and the size of each screening matrix product, which stays small enough
-# for BLAS to run it on one thread without per-thread buffers (a whole
-# 30,000-row product raised peak RSS by 7-9 MB under OpenBLAS). Small
-# enough to stay in cache, large enough to amortize the calls.
+# counted as their n x k x d broadcast. It bounds the scratch of each
+# exact chunk and the size of each screening matrix product: one product
+# over all 30,000 rows of a benchmark table made OpenBLAS allocate thread
+# buffers (7-9 MB more peak RSS). Small enough to stay in cache, large
+# enough to amortize the calls.
 _BLOCK_BYTES = 2 << 20
 
 _MAX_ITERATIONS = 100

@@ -274,9 +274,9 @@ class TestBlockedDistances:
     def test_single_cluster(self, four_row_blocks):
         assert_matches_broadcast_oracle(random_points(5, 21, 4, complex_valued=False), 1)
 
-    @pytest.mark.parametrize("n, d, k", [(13, 1, 3), (13, 1, 1), (9, 3, 9), (9, 1, 9)])
+    @pytest.mark.parametrize("n, d, k", [(13, 1, 3), (13, 1, 1), (9, 3, 9), (9, 1, 9)])  # d = 1, k = 1, k = n
     @pytest.mark.parametrize("seed", range(3))
-    def test_one_column_and_one_row_per_cluster(self, four_row_blocks, n, d, k, seed):
+    def test_edge_shapes(self, four_row_blocks, n, d, k, seed):
         assert_matches_broadcast_oracle(random_points(seed, n, d, complex_valued=False), k, seed=seed)
 
     @pytest.mark.parametrize("offset, spread", EXTREME_SCALES)
