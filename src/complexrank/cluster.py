@@ -338,10 +338,13 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
             # 2 gamma_(d+3) (|x| + |c|)^2 of the true squared distance, in
             # any summation order, plus what underflow (to subnormals or to
             # zero) loses; a gap above twice err makes the screen's argmin
-            # the strict minimum of the exact distances. A NaN or infinite
-            # gap is unsure, hence the negated test
+            # the strict minimum of the exact distances. That holds only where
+            # nothing overflowed; every screened term is below r^2 in modulus
+            # (|2 x.c| by half), so 2 r^2 overflows wherever one of them
+            # could, err is then inf and every pair is unsure. A NaN gap is
+            # unsure too, hence the negated test
             r = x_max + math.sqrt(c_sq.max())
-            err = 4 * (d + 4) * (2.0**-52 * r * r + 2.0**-1021)
+            err = 2 * (d + 4) * (2 * r * r * 2.0**-52 + 2.0**-1020)
             screen.partition(1, axis=2)  # in place: the two smallest of each pair first
             pts, at = np.nonzero(~(screen[:, :, 1] - screen[:, :, 0] > 2 * err))
             if pts.size:

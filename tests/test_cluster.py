@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -285,6 +286,13 @@ class TestBlockedDistances:
         data = offset + spread * random_points(seed, 200, 3, complex_valued=False)
         assert_matches_broadcast_oracle(data, 4, seed=seed)
 
+    def test_overflowing_cross_term_is_rechecked(self):
+        # squared norms of 1.69e308, 1.49e308 and 0.36e308 fit in float64,
+        # but 2 x.c1 = 1.82e308 does not: the screen reads x's distance to
+        # c1 as -inf, while the exact distances put x nearer c2
+        x, c1, c2 = [1.3e154, 0.0], [0.7e154, 1e154], [0.6e154, 0.0]
+        assert_matches_broadcast_oracle(np.array([x, c1, c2]), 2, initial_centroids=np.array([c1, c2]))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicate_rows_tie_exactly(self, four_row_blocks, seed):
         base = np.random.default_rng(seed).integers(-2, 3, size=(5, 4)).astype(float)
@@ -406,6 +414,11 @@ class TestBatchedRestarts:
         st.booleans(),
         st.sampled_from([(0.0, 1.0), (2.0**30, 1.0)] + EXTREME_SCALES),
     )
+    # every squared distance underflows to 0, so all rows tie on cluster 0
+    # and each of the six restarts reseeds its other clusters
+    @example(n=30, d=3, k=3, seeds=list(range(6)), cap=100, groups=None, data_seed=2, ties=False, scale=(0.0, 1e-300))
+    @example(n=30, d=3, k=3, seeds=list(range(6)), cap=100, groups=1, data_seed=2, ties=False, scale=(0.0, 1e-300))
+    @example(n=30, d=3, k=3, seeds=list(range(6)), cap=100, groups=3, data_seed=2, ties=False, scale=(0.0, 1e-300))
     def test_each_restart_is_the_oracle_run(self, n, d, k, seeds, cap, groups, data_seed, ties, scale):
         # the batched loop itself on real inputs, d = 1 (the mean update) and
         # d >= 2: small integers tie often; normal floats in clusters of 8 or
@@ -414,26 +427,22 @@ class TestBatchedRestarts:
         rng = np.random.default_rng(data_seed)
         data = rng.integers(-2, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
         offset, spread = scale
-        assert_restarts_match_the_oracle(offset + spread * data, min(k, n), seeds, cap, groups)
-
-    @pytest.mark.parametrize("groups", [None, 1, 3])
-    def test_underflowing_distances_reseed_every_restart(self, groups):
-        # every squared distance underflows to 0, so all rows tie on
-        # cluster 0 and each restart reseeds its other clusters
-        data = 1e-300 * random_points(2, 30, 3, complex_valued=False)
-        seeds = list(range(6))
-        reseeds = assert_restarts_match_the_oracle(data, 3, seeds, 100, groups)
-        assert (reseeds >= 2).all()
+        assert_restarts_match_the_oracle(
+            offset + spread * data, min(k, n), seeds, cap, groups, extreme=scale in EXTREME_SCALES
+        )
 
 
-def assert_restarts_match_the_oracle(data, k, seeds, cap, groups):
+def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):
     """_lloyd from the starts of `seeds` equals broadcast_kmeans of each seed
-    alone, and its converged and reseeds the R = 1 kmeans; returns reseeds.
+    alone, and its converged and reseeds the R = 1 kmeans.
 
     groups: restarts one distance block holds (None: the default block).
+    extreme: the data may overflow float64 in _lloyd, which then runs
+    without overflow warnings as kmeans runs it; elsewhere a warning fails.
     """
     n, d = data.shape
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+    quiet = np.errstate(over="ignore", invalid="ignore") if extreme else contextlib.nullcontext()
+    with pytest.MonkeyPatch.context() as mp, quiet:
         # with more live restarts than a block holds, each block takes
         # fewer rows of them all
         if groups is not None:
@@ -450,7 +459,6 @@ def assert_restarts_match_the_oracle(data, k, seeds, cap, groups):
         assert converged[r] == (broadcast_kmeans(data, k, seed=seed, max_iterations=cap + 1)[3] <= cap)
         alone = kmeans(data, k, seed=seed, max_iterations=cap)
         assert (alone.converged, alone.reseeds) == (converged[r], reseeds[r])
-    return reseeds
 
 
 def start_rows(n, k, seeds):
