@@ -199,9 +199,10 @@ def _encode_table(matrix: CodedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_encode(args) -> tuple[str, str]:
+def cmd_encode(args) -> tuple[str, str | None]:
     matrix = encode_dataset(_load_dataset(args), args.mode)
-    json_text = coded_matrix_to_json(matrix, args.mode)
+    # the document is built only where it is printed or written (main writes it only with --output)
+    json_text = None if args.table and args.output is None else coded_matrix_to_json(matrix, args.mode)
     return _encode_table(matrix) if args.table else json_text, json_text
 
 

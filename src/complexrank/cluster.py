@@ -59,9 +59,15 @@ def derive_run_seed(master_seed: int, condition_index: int, run_index: int) -> i
     them as 64-bit words; a uint64 array of run indices gives the array
     of their seeds.
     """
+    words = []
     for name, value in zip(("master_seed", "condition_index", "run_index"), (master_seed, condition_index, run_index)):
-        if not isinstance(value, np.ndarray) and not 0 <= operator.index(value) <= _M64:
-            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        if not isinstance(value, np.ndarray):
+            # a numpy integer scalar would mix in fixed-width scalar arithmetic, which warns on wraparound
+            value = operator.index(value)
+            if not 0 <= value <= _M64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        words.append(value)
+    master_seed, condition_index, run_index = words
     s = splitmix64(master_seed)
     s = splitmix64(s ^ condition_index)
     return splitmix64(s ^ run_index)

@@ -360,30 +360,43 @@ def coded_matrix_to_json_dict(matrix: CodedMatrix) -> dict:
     return {**head, "rows": rows, **tail}
 
 
-# one cell as json.dumps(indent=2) writes it inside "rows"; CodedMatrix
-# cells are finite, and for a finite float repr is the text json writes
-_JSON_CELL = '      {\n        "re": %r,\n        "im": %r\n      }'
-
-
 def coded_matrix_to_json(matrix: CodedMatrix, mode: EncodeMode) -> str:
     """The `encode --json` document of a coded matrix.
 
     The text is `json.dumps({"mode": mode.value, **coded_matrix_to_json_dict(matrix)},
     indent=2) + "\n"`, byte for byte. Only the fields around "rows" go
-    through json; the rows are formatted straight from the array by one
-    `%r` template per row, without building a dict per cell.
+    through json. The rows are written by float position (each column's
+    re, then its im): each distinct value of a position is formatted once,
+    with the fixed text around it, and the texts are gathered back into
+    row order. One join of them builds the document, without a dict per
+    cell or a second copy of the rows text.
     """
     head, tail = _json_fields(matrix)
-    n, d = matrix.data.shape
-    rows = "[]"
-    if n:
-        row = "    [\n" + ",\n".join([_JSON_CELL] * d) + "\n    ]" if d else "    []"
-        values = matrix.data.ravel().view(np.float64).tolist()
-        rows = "[\n" + ",\n".join([row] * n) % tuple(values) + "\n  ]"
     # both dumps are non-empty objects: "{\n" + fields + "\n}"
-    before = json.dumps({"mode": mode.value, **head}, indent=2)[:-2]
-    after = json.dumps(tail, indent=2)[2:]
-    return f'{before},\n  "rows": {rows},\n{after}\n'
+    doc_before = json.dumps({"mode": mode.value, **head}, indent=2)[:-2] + ',\n  "rows": '
+    doc_after = ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
+    n, d = matrix.data.shape
+    if not n or not d:
+        rows = "[\n" + ",\n".join(["    []"] * n) + "\n  ]" if n else "[]"
+        return doc_before + rows + doc_after
+    values = np.ascontiguousarray(matrix.data).view(np.float64)
+    texts = np.empty((n, 2 * d), dtype=object)
+    for p in range(2 * d):
+        if p % 2 == 0:  # a cell opens, and on the first position its row too
+            before, after = (",\n    [\n" if p == 0 else ",\n") + '      {\n        "re": ', ""
+        else:  # a cell closes, and on the last position its row too
+            before, after = ',\n        "im": ', "\n      }" + ("\n    ]" if p == 2 * d - 1 else "")
+        # distinct by bit pattern, so that -0.0 and 0.0 keep their own text;
+        # cells are finite, and for a finite float repr is the text json writes
+        bits, inverse = np.unique(values[:, p].view(np.int64), return_inverse=True)
+        distinct = [f"{before}{v!r}{after}" for v in bits.view(np.float64).tolist()]
+        texts[:, p] = np.array(distinct, dtype=object)[inverse]
+    pieces = texts.ravel().tolist()
+    del texts
+    # the first row needs no ",\n" separator before it
+    pieces[0] = doc_before + "[\n" + pieces[0][2:]
+    pieces[-1] += "\n  ]" + doc_after
+    return "".join(pieces)
 
 
 def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:

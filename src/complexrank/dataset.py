@@ -14,6 +14,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -269,20 +270,20 @@ def parse_csv(
     if len(lines) == 1:
         raise DataError("no data rows")
     width = len(schema.columns)
-    rows = [line.split(",") for line in lines[1:]]
-    del lines  # the split cells now hold the text; dropping the lines keeps the peak low
-    for r, parts in enumerate(rows, start=1):
-        if len(parts) != width:
-            found = (
-                "the line is blank" if len(parts) == 1 and not parts[0].strip()
-                else f"found {len(parts)} (embedded commas are not supported)"
-            )
-            raise DataError(f"row {r}: expected {width} cells, {found}")
-    raw_columns = list(zip(*rows))
-    del rows
+    commas = list(map(str.count, lines[1:], repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        r = next(r for r, c in enumerate(commas, start=1) if c != width - 1)
+        found = (
+            "the line is blank" if not commas[r - 1] and not lines[r].strip()
+            else f"found {commas[r - 1] + 1} (embedded commas are not supported)"
+        )
+        raise DataError(f"row {r}: expected {width} cells, {found}")
+    # every row holds width cells, so cell j of row r is flat[r * width + j]
+    flat = ",".join(lines[1:]).split(",")
+    del lines  # the cells now hold the text; dropping the lines keeps the peak low
     columns = []
     for j, col in enumerate(schema.columns, start=1):
-        cells = [c.strip() for c in raw_columns.pop(0)]
+        cells = list(map(str.strip, flat[j - 1::width]))
         where = f"column {j} ({col.name!r})"
         if col.role is Role.NUMERIC:
             if not all(map(_NUMBER.fullmatch, cells)):

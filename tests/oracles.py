@@ -183,6 +183,54 @@ def write_csv(dataset) -> str:
     return "\n".join([",".join(names), *map(",".join, zip(*columns))]) + "\n"
 
 
+def reference_parse_csv(text: str, schema, *, missing_as_category: str | None = None):
+    """`parse_csv` written line by line: one `split` per line, then
+    `zip(*rows)` into columns.
+
+    The header rule, the number pattern and the Dataset are the library's
+    own; what this checks is how lines become rows, rows become columns,
+    and which error a malformed table gets.
+    """
+    from complexrank.dataset import _NUMBER, DataError, Dataset, Role, csv_header
+
+    header = csv_header(text)
+    expected = list(schema.names)
+    if header != expected:
+        raise DataError(f"header mismatch: expected {expected}, found {header}")
+    lines = text.splitlines()
+    while len(lines) > 1 and not lines[-1].strip():
+        lines.pop()
+    if len(lines) == 1:
+        raise DataError("no data rows")
+    width = len(schema.columns)
+    rows = [line.split(",") for line in lines[1:]]
+    del lines  # the split cells now hold the text; dropping the lines keeps the peak low
+    for r, parts in enumerate(rows, start=1):
+        if len(parts) != width:
+            found = (
+                "the line is blank" if len(parts) == 1 and not parts[0].strip()
+                else f"found {len(parts)} (embedded commas are not supported)"
+            )
+            raise DataError(f"row {r}: expected {width} cells, {found}")
+    raw_columns = list(zip(*rows))
+    del rows
+    columns = []
+    for j, col in enumerate(schema.columns, start=1):
+        cells = [c.strip() for c in raw_columns.pop(0)]
+        where = f"column {j} ({col.name!r})"
+        if col.role is Role.NUMERIC:
+            if not all(map(_NUMBER.fullmatch, cells)):
+                r, cell = next((r, c) for r, c in enumerate(cells, 1) if not _NUMBER.fullmatch(c))
+                raise DataError(f"row {r}, {where}: {cell!r} is not a plain decimal number")
+            cells = list(map(float, cells))
+        elif "" in cells:
+            if missing_as_category is None:
+                raise DataError(f"row {cells.index('') + 1}, {where}: empty value")
+            cells = [c or missing_as_category for c in cells]
+        columns.append(cells)
+    return Dataset(schema, columns)
+
+
 def reference_report_json(report) -> str:
     """`experiment --json` text through json's own encoder.
 

@@ -141,6 +141,14 @@ class TestEncodeCommand:
         assert lines[2].split() == ["2", "100", "-2", "2", "3.5", "3.5", "Nissan"]
         assert lines[3].split() == ["2", "200", "-2", "3", "2.5", "2.5", "Ferrari"]
 
+    def test_table_alone_builds_no_json_document(self, capsys, monkeypatch):
+        argv = ["encode", "--input", CARS, "--schema", SCHEMA, "--table"]
+        _, table, _ = run(capsys, argv)
+        built = []
+        monkeypatch.setattr("complexrank.cli.coded_matrix_to_json", lambda *a: built.append(a) or "")
+        assert run(capsys, argv) == (0, table, "")
+        assert not built
+
     def test_three_way_tie_prints_complex_cells(self, capsys, tmp_path):
         csv = tmp_path / "t.csv"
         csv.write_text("c,y\na,P\nb,P\nc,Q\n")

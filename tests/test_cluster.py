@@ -695,6 +695,14 @@ class TestSeedDerivation:
             want = [derive_run_seed(master_seed, condition, r) for r in runs]
             assert derive_run_seed(master_seed, condition, np.array(runs, dtype=np.uint64)).tolist() == want
 
+    @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.int8])
+    def test_numpy_integer_scalars_give_the_int_seeds(self, kind):
+        # the project's filterwarnings makes an overflow RuntimeWarning an error
+        for args in ((5, 0, 0), (0, 3, 7), (127, 1, 100)):
+            assert derive_run_seed(*map(kind, args)) == derive_run_seed(*args)
+        assert derive_run_seed(kind(9), 2, np.array([0, 5], dtype=np.uint64)).tolist() == [
+            derive_run_seed(9, 2, 0), derive_run_seed(9, 2, 5)]
+
     @pytest.mark.parametrize("args, name", [
         ((2**64, 0, 0), "master_seed"),
         ((-1, 0, 0), "master_seed"),

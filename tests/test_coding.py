@@ -640,6 +640,39 @@ class TestJsonWriter:
         assert text == reference_encode_json(m, EncodeMode.NUMERIC)
         assert '"re": -0.0' in text and '"im": 5e-324' in text and '"re": 0.30000000000000004' in text
 
+    @pytest.mark.parametrize("names", ["z", "azb"])
+    def test_signed_zeros_keep_their_sign_in_both_halves(self, names):
+        # 0.0 == -0.0, so only their bit patterns tell the two texts apart
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        columns = tuple(CodedColumn(n, ColumnSource.NUMERIC) for n in names)
+        data = np.zeros((8, len(names)), dtype=np.complex128)
+        data[:, names.index("z")] = zeros + zeros[::-1]
+        m = CodedMatrix(columns, data)
+        text = coded_matrix_to_json(m, EncodeMode.NUMERIC)
+        assert text == reference_encode_json(m, EncodeMode.NUMERIC)
+        assert text.count('"re": -0.0') == text.count('"im": -0.0') == 4
+
+    def test_one_column(self, cars):
+        # with d = 1 the row's opening and closing texts sit on the one column's two halves
+        ds = Dataset(AttributeSchema((Column("c", Role.NOMINAL),)), [cars.column("Color")])
+        for mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC):
+            m = encode_dataset(ds, mode)
+            assert m.data.shape[1] == 1
+            for a in (m, standardize(m)):
+                assert coded_matrix_to_json(a, mode) == reference_encode_json(a, mode)
+
+    def test_many_duplicated_rows(self, cars):
+        m = encode_dataset(cars, EncodeMode.COMBINED)
+        m = CodedMatrix(m.columns, np.tile(m.data, (300, 1))[::-1])
+        assert coded_matrix_to_json(m, EncodeMode.COMBINED) == reference_encode_json(m, EncodeMode.COMBINED)
+
+    def test_all_distinct_values(self):
+        # every cell of both halves distinct: no value is shared within a float position
+        rng = np.random.default_rng(5)
+        columns = tuple(CodedColumn(n, ColumnSource.NUMERIC) for n in "abc")
+        m = CodedMatrix(columns, rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3)))
+        assert coded_matrix_to_json(m, EncodeMode.NUMERIC) == reference_encode_json(m, EncodeMode.NUMERIC)
+
     @pytest.mark.parametrize("shape", [(1, 3), (4, 0), (1, 0), (0, 2), (0, 0)])
     def test_degenerate_shapes(self, shape):
         rows, cols = shape

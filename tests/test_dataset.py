@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from complexrank.dataset import (
     AttributeSchema,
@@ -15,7 +15,7 @@ from complexrank.dataset import (
     csv_header,
     parse_csv,
 )
-from .oracles import write_csv
+from .oracles import reference_parse_csv, write_csv
 
 
 def make_schema(*pairs):
@@ -331,3 +331,61 @@ def test_one_changed_cell_breaks_equality(ds, data):
         columns[j][r] = data.draw(st.sampled_from(sorted(set(columns[j]) - {cell}) + [cell + "x"]))
     changed = Dataset(ds.schema, columns)
     assert changed != again and again != changed
+
+
+# numeric cells parse_csv reads, some padded, and cells near to them that it refuses:
+# Unicode digits (which \d and float() both accept), a lone sign or point, exponents
+numeric_cell = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda i: repr(i / 100)),
+    st.sampled_from(["7", "+.5", "-3.", " 1.25 ", "\t-0.5", "0012"]),
+)
+odd_numeric_cell = st.sampled_from(["٣.5", "٣", "1.٥", ".", "+", "-", "+.", "1e3", "", " ", "nan"])
+# the breaks a CSV line may end on, as str.splitlines reads them
+CSV_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+BLANK = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def csv_tables(draw):
+    """(text, schema, missing_as_category): a CSV table, valid or with parse_csv's faults.
+
+    Odd tables may hold numeric cells that are not plain decimals and empty
+    nominal cells. Any table may get one row with an extra comma and a later
+    row with one comma fewer, so that the cell total still balances, a blank
+    line inside and blank lines after the last row.
+    """
+    n_cols = draw(st.integers(1, 4))
+    names = draw(st.lists(simple_token, min_size=n_cols, max_size=n_cols, unique=True))
+    roles = draw(st.lists(st.sampled_from([Role.NUMERIC, Role.NOMINAL]), min_size=n_cols, max_size=n_cols))
+    schema = AttributeSchema(tuple(Column(n, r) for n, r in zip(names, roles)))
+    odd = draw(st.booleans())
+    numeric = st.one_of(numeric_cell, odd_numeric_cell) if odd else numeric_cell
+    nominal = st.one_of(csv_token, csv_token.map(lambda t: f" {t}\t"), *[BLANK] * odd)
+    n_rows = draw(st.integers(1, 6))
+    lines = [",".join(draw(numeric if r is Role.NUMERIC else nominal) for r in roles) for _ in range(n_rows)]
+    if n_rows > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n_rows - 2))
+        j = draw(st.integers(i + 1, n_rows - 1))
+        lines[i] += ","
+        lines[j] = lines[j].replace(",", "", 1)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, n_rows - 1)), draw(BLANK))
+    lines = [",".join(names), *lines, *draw(st.lists(BLANK, max_size=3))]
+    text = "".join(line + draw(st.sampled_from(CSV_BREAKS)) for line in lines[:-1]) + lines[-1]
+    return text, schema, draw(st.sampled_from([None, "NA"]))
+
+
+@given(csv_tables())
+@example(("a,b\n1,x,\n2\n", make_schema(("a", "numeric"), ("b", "nominal")), None))
+@example(("a,b\r\n1,x\u2028 \u20282,y\x0b\x1c \n", make_schema(("a", "numeric"), ("b", "nominal")), None))
+@example(("a,b\n٣.5,\n.,y\n", make_schema(("a", "numeric"), ("b", "nominal")), "NA"))
+def test_parse_csv_matches_the_line_by_line_oracle(table):
+    text, schema, missing = table
+
+    def outcome(parse):
+        try:
+            return parse(text, schema, missing_as_category=missing)
+        except DataError as exc:
+            return f"DataError: {exc}"
+    got, want = outcome(parse_csv), outcome(reference_parse_csv)
+    assert type(got) is type(want) and got == want
