@@ -358,9 +358,9 @@ def csv_tables(draw):
     names = draw(st.lists(simple_token, min_size=n_cols, max_size=n_cols, unique=True))
     roles = draw(st.lists(st.sampled_from([Role.NUMERIC, Role.NOMINAL]), min_size=n_cols, max_size=n_cols))
     schema = AttributeSchema(tuple(Column(n, r) for n, r in zip(names, roles)))
-    odd = draw(st.booleans())
-    numeric = st.one_of(numeric_cell, odd_numeric_cell) if odd else numeric_cell
-    nominal = st.one_of(csv_token, csv_token.map(lambda t: f" {t}\t"), *[BLANK] * odd)
+    numeric, nominal = numeric_cell, st.one_of(csv_token, csv_token.map(lambda t: f" {t}\t"))
+    if draw(st.booleans()):  # an odd table
+        numeric, nominal = st.one_of(numeric, odd_numeric_cell), st.one_of(nominal, BLANK)
     n_rows = draw(st.integers(1, 6))
     lines = [",".join(draw(numeric if r is Role.NUMERIC else nominal) for r in roles) for _ in range(n_rows)]
     if n_rows > 1 and draw(st.booleans()):
