@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cluster import DEFAULT_CONDITIONS, kmeans, purity_accuracy, run_experiment
+from .cluster import DEFAULT_CONDITIONS, _grid, kmeans, purity_accuracy, run_experiment
 from .coding import (
     CodedMatrix,
     EncodeMode,
@@ -188,15 +188,8 @@ def _encode_table(matrix: CodedMatrix) -> str:
     rows = [[format_complex(z) for z in row] for row in matrix.data.tolist()]
     if matrix.decision is not None:
         headers.append("(decision)")
-        for row, label in zip(rows, matrix.decision):
-            row.append(label)
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for r in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+        rows = [[*row, label] for row, label in zip(rows, matrix.decision)]
+    return "\n".join(_grid(headers, rows)) + "\n"
 
 
 def cmd_encode(args) -> tuple[str, str | None]:

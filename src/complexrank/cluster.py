@@ -618,31 +618,24 @@ class ExperimentReport:
 
     def render_table(self) -> str:
         """Accuracy bucket counts per condition, zeros shown as '-'."""
-        headers = [">=90%", ">=80%", ">=70%", ">=60%", ">=50%", "<50%"]
-        rows = []
-        for c in self.conditions:
-            label = _CONDITION_LABELS.get(c.name, c.name)
-            buckets = c.buckets
-            cells = [str(buckets[key]) if buckets[key] else "-" for key in BUCKET_KEYS]
-            rows.append([label] + cells)
-        name_width = max(len("Condition"), *(len(r[0]) for r in rows))
-        widths = [max(len(h), 5) for h in headers]
-        lines = [
-            f"Accuracy of {self.repeats} clustering runs per condition "
-            f"(count of runs by highest threshold reached)"
+        # ">=90%" to ">=50%", then " <50%": counts sit in columns at least five wide
+        header = ["Condition", *(f">={key}%" for key in BUCKET_KEYS[:-1]), f"<{BUCKET_KEYS[-2]}%".rjust(5)]
+        rows = [
+            [_CONDITION_LABELS.get(c.name, c.name), *(str(n) if n else "-" for n in c.buckets.values())]
+            for c in self.conditions
         ]
-        header = "Condition".ljust(name_width) + "  " + "  ".join(
-            h.rjust(w) for h, w in zip(headers, widths)
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for r in rows:
-            lines.append(
-                r[0].ljust(name_width)
-                + "  "
-                + "  ".join(cell.rjust(w) for cell, w in zip(r[1:], widths))
-            )
-        return "\n".join(lines) + "\n"
+        head, *body = _grid(header, rows, left=1)
+        title = f"Accuracy of {self.repeats} clustering runs per condition (count of runs by highest threshold reached)"
+        return "\n".join([title, head, "-" * len(head), *body]) + "\n"
+
+
+def _grid(header: Sequence[str], rows: Sequence[Sequence[str]], left: int = 0) -> list[str]:
+    """The lines of a text table from its header and rows of cells: each
+    column as wide as its widest cell, two spaces apart, the first `left`
+    columns left-justified and the others right-justified."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    justify = [str.ljust] * left + [str.rjust] * (len(widths) - left)
+    return ["  ".join(j(cell, w) for j, cell, w in zip(justify, row, widths)) for row in (header, *rows)]
 
 
 DEFAULT_CONDITIONS = (
@@ -655,23 +648,24 @@ DEFAULT_CONDITIONS = (
 
 def run_experiment(
     dataset: Dataset,
-    conditions: Sequence[EncodeMode] = DEFAULT_CONDITIONS,
+    conditions: Sequence[EncodeMode | str] = DEFAULT_CONDITIONS,
     repeats: int = 20,
     master_seed: int = 0,
 ) -> ExperimentReport:
     """Cluster one dataset repeatedly under several encodings and score purity.
 
-    k is the number of distinct decision labels. Every condition is
-    encoded, standardized per column, and clustered `repeats` times from
-    seeds derived deterministically from (master_seed, condition index,
-    run index), so a report is reproducible byte for byte. The runs of a
-    condition are clustered together in one batched Lloyd loop and each
-    scored as kmeans and purity_accuracy would score it.
+    k is the number of distinct decision labels. Every condition, an EncodeMode
+    or its value, is encoded, standardized per column, and clustered `repeats`
+    times from seeds derived deterministically from (master_seed, condition
+    index, run index), so a report is reproducible byte for byte. The runs of a
+    condition are clustered together in one batched Lloyd loop and each scored
+    as kmeans and purity_accuracy would score it.
     """
     decision = dataset.schema.decision_column
     if decision is None:
         raise DataError("the experiment needs a decision column to score against")
     _count("repeats", repeats)
+    conditions = [EncodeMode(mode) for mode in conditions]
     if not conditions:
         raise ValueError("at least one condition is required")
     run_indices = np.arange(repeats, dtype=np.uint64)
@@ -693,7 +687,7 @@ def run_experiment(
             runs += map(RunRecord, batch, accuracy, inertia.tolist(), iterations.tolist())
         results.append(ConditionResult(name=mode.value, runs=tuple(runs)))
     return ExperimentReport(
-        master_seed=master_seed,
+        master_seed=operator.index(master_seed),
         repeats=repeats,
         k=k,
         conditions=tuple(results),

@@ -276,14 +276,16 @@ class CodedMatrix:
         raise DataError(f"unknown coded column: {name!r}")
 
 
-def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
+def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
     """Turn a dataset into a coded matrix under the given mode.
 
-    Columns keep their schema order; a one-hot block sits where its
-    source column was. Modes that exist to exercise nominal coding
-    (nominal, adhoc, onehot) require at least one nominal column, and
-    numeric requires at least one numeric column.
+    The mode is an EncodeMode or its value; any other raises ValueError.
+    Columns keep their schema order; a one-hot block sits where its source
+    column was. Modes that exist to exercise nominal coding (nominal, adhoc,
+    onehot) require at least one nominal column, and numeric requires at
+    least one numeric column.
     """
+    mode = EncodeMode(mode)
     if mode is EncodeMode.COMPLEX:
         mode = EncodeMode.COMBINED
     roles = {c.role for c in dataset.schema.columns}
@@ -318,7 +320,7 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode) -> CodedMatrix:
             adhoc_codes[col.name] = adhoc_codebook(vocabulary)
             columns.append(CodedColumn(col.name, ColumnSource.ADHOC_CODED))
             arrays.append(codes + 1)
-        else:  # onehot
+        elif mode is EncodeMode.ONEHOT:
             columns.extend(CodedColumn(f"{col.name}={t}", ColumnSource.ONE_HOT) for t in vocabulary)
             arrays.append(np.eye(len(vocabulary))[codes])
 

@@ -798,6 +798,36 @@ class TestRunExperiment:
         assert "Numeric + coded nominal" in table
         assert ">=90%" in table and "<50%" in table
 
+    def test_table_of_an_empty_report(self):
+        assert ExperimentReport(0, 1, 1, ()).render_table() == (
+            "Accuracy of 1 clustering runs per condition (count of runs by highest threshold reached)\n"
+            "Condition  >=90%  >=80%  >=70%  >=60%  >=50%   <50%\n"
+            "---------------------------------------------------\n"
+        )
+
+    def test_table_widens_a_column_for_a_six_digit_count(self):
+        runs = (RunRecord(0, 0.95, 1.0, 1),) * 100000 + (RunRecord(1, 0.4, 1.0, 1),)
+        table = ExperimentReport(0, 100001, 2, (ConditionResult("adhoc", runs),)).render_table()
+        _, header, dashes, row = table.splitlines()
+        assert len(header) == len(dashes) == len(row)
+        assert header == "Condition                        >=90%  >=80%  >=70%  >=60%  >=50%   <50%"
+        assert row == "Numeric + ad hoc integer codes  100000      -      -      -      -      1"
+
+    def test_conditions_may_be_given_by_value(self, cars):
+        modes = list(EncodeMode)
+        want = run_experiment(cars, conditions=modes, repeats=2, master_seed=4).to_json()
+        assert run_experiment(cars, conditions=[m.value for m in modes], repeats=2, master_seed=4).to_json() == want
+        with pytest.raises(ValueError, match="fourier"):
+            run_experiment(cars, conditions=["combined", "fourier"], repeats=2)
+
+    @pytest.mark.parametrize("master_seed", [np.int64(3), np.uint64(3), True])
+    def test_report_holds_the_master_seed_as_an_int(self, cars, master_seed):
+        report = run_experiment(cars, repeats=2, master_seed=master_seed)
+        assert type(report.master_seed) is int
+        want = run_experiment(cars, repeats=2, master_seed=int(master_seed)).to_json()
+        assert report.to_json() == want
+        assert json.loads(want)["master_seed"] == int(master_seed)
+
     def test_trivially_separable_data_scores_one(self):
         report = run_experiment(
             tiny_labeled_dataset(), conditions=[EncodeMode.NUMERIC], repeats=1

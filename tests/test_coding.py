@@ -268,6 +268,16 @@ class TestEncodeDataset:
             with pytest.raises(DataError, match="nominal"):
                 encode_dataset(ds, mode)
 
+    @pytest.mark.parametrize("mode", list(EncodeMode))
+    def test_a_modes_value_selects_that_mode(self, cars, mode):
+        want = coded_matrix_to_json(encode_dataset(cars, mode), mode)
+        assert coded_matrix_to_json(encode_dataset(cars, mode.value), mode) == want
+
+    def test_an_unknown_mode_is_refused(self, cars):
+        # it once fell through to the one-hot branch
+        with pytest.raises(ValueError, match="fourier"):
+            encode_dataset(cars, "fourier")
+
     def test_matrix_is_immutable(self, cars):
         m = encode_dataset(cars, EncodeMode.COMBINED)
         with pytest.raises(ValueError):
