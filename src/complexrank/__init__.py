@@ -32,6 +32,7 @@ from .coding import (
     coded_matrix_to_json_dict,
     encode_dataset,
     root_of_unity,
+    standardize,
 )
 from .dataset import (
     AttributeSchema,
@@ -43,7 +44,7 @@ from .dataset import (
     parse_csv,
 )
 from .ranking import ranks
-from .space import distance, inner_product, norm, real_expansion, standardize
+from .space import distance, inner_product, norm, real_expansion
 
 __version__ = "0.1.0"
 

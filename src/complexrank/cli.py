@@ -18,6 +18,7 @@ from .coding import (
     coded_matrix_to_json,
     coded_matrix_to_json_dict,  # noqa: F401 -- perfbench traces it under this module
     encode_dataset,
+    standardize,
 )
 from .dataset import (
     AttributeSchema,
@@ -30,7 +31,6 @@ from .dataset import (
     parse_csv,
 )
 from .ranking import ranks
-from .space import standardize
 
 
 class UsageError(Exception):

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import CodedMatrix, EncodeMode, encode_dataset
+from .coding import CodedMatrix, EncodeMode, encode_dataset, standardize
 from .dataset import DataError, Dataset, factorize
-from .space import real_expansion, standardize
+from .space import real_expansion
 
 RNG_NOTE = "numpy.random.default_rng (PCG64)"
 SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
@@ -214,12 +214,16 @@ class ColumnScaling:
     sigma: float
 
 
-def mean_and_sigma(cells: np.ndarray) -> tuple[complex, float]:
-    """The scaling standardize gives a column: its complex mean and its real
-    population scatter sqrt(sum(|x - mean|^2) / N), one sigma for both channels."""
-    mean = complex(cells.mean())
-    dev = cells - mean
-    return mean, math.sqrt(float(np.sum(dev.real**2 + dev.imag**2)) / len(cells))
+def _center(block: np.ndarray) -> tuple[list[complex], list[float]]:
+    """Center the columns of a Fortran-order complex (rows, columns) block in
+    place; return their complex means and real population scatters sqrt(sum(|x -
+    mean|^2) / N). Each column is contiguous, so numpy sums it pairwise as it
+    sums a lone column; a C-order block is summed row by row, to other bytes."""
+    mean = block.mean(axis=0)
+    block -= mean
+    squares = block.real**2
+    squares += block.imag**2
+    return mean.tolist(), np.sqrt(squares.sum(axis=0) / len(block)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +335,32 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
         codebooks=tuple(codebooks),
         adhoc_codes=adhoc_codes,
     )
+
+
+def standardize(matrix: CodedMatrix) -> CodedMatrix:
+    """Center and scale every coded column to zero mean and unit dispersion.
+
+    Each column is shifted by its complex mean and divided by the real
+    population scatter sqrt(sum(|x - mean|^2) / N), one sigma for both
+    channels. Columns whose values are all identical have no scale at all,
+    and columns whose scatter overflows float64 have no finite one; the
+    first such column is rejected by name.
+    """
+    if matrix.n_rows < 2:
+        raise DataError("standardization needs at least 2 rows")
+    block = np.array(matrix.data, order="F")
+    # an overflow only ever yields a non-finite sigma, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sigma = _center(block)
+        for col, s in zip(matrix.columns, sigma):
+            # sigma is 0 for a constant column and for a subnormal spread alike
+            if s == 0.0:
+                raise DataError(f"column {col.name!r} has zero dispersion")
+            if not math.isfinite(s):
+                raise DataError(f"column {col.name!r} is too spread out: its scatter overflows")
+        out = np.divide(block, sigma, out=np.empty_like(matrix.data))
+    del block  # CodedMatrix copies `out`: that copy is the third n x c array, not the fourth
+    return replace(matrix, data=out, scaling=tuple(map(ColumnScaling, matrix.column_names, mean, sigma)))
 
 
 def _json_fields(matrix: CodedMatrix) -> tuple[dict, dict]:
@@ -541,10 +571,12 @@ def _check_coded_cells(matrix: CodedMatrix) -> None:
             r = np.flatnonzero(ones != 1)[0]
             raise DataError(f"row {r + 1}, {where}: {ones[r]} hot cells, not 1")
         _first_seen(hot.argmax(axis=1), [matrix.columns[i].name for i, _ in block], where)
-    for i, where, column in decoded:
-        stored, derived = (matrix.scaling[i].mean, matrix.scaling[i].sigma), mean_and_sigma(column)
-        if stored != derived:
-            raise DataError(f"scaling of {where}: (mean, sigma) is {stored}, but its decoded cells give {derived}")
+    if decoded:
+        means, sigmas = _center(np.array([column for _, _, column in decoded]).T)
+        for (i, where, _), derived in zip(decoded, zip(means, sigmas)):
+            stored = (matrix.scaling[i].mean, matrix.scaling[i].sigma)
+            if stored != derived:
+                raise DataError(f"scaling of {where}: (mean, sigma) is {stored}, but its decoded cells give {derived}")
 
 
 def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:

@@ -11,13 +11,9 @@ what lets standard k-means run on complex-coded data unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
-
-from .coding import CodedMatrix, ColumnScaling, mean_and_sigma
-from .dataset import DataError
 
 ComplexVector = Sequence[complex]
 
@@ -60,35 +56,3 @@ def real_expansion(x: np.ndarray | ComplexVector) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
     return a.view(np.float64)
 
-
-def standardize(matrix: CodedMatrix) -> CodedMatrix:
-    """Center and scale every coded column to zero mean and unit dispersion.
-
-    Each column is shifted by its complex mean and divided by the real
-    population scatter sqrt(sum(|x - mean|^2) / N), one sigma for both
-    channels.
-
-    Columns whose values are all identical have no scale at all, and
-    columns whose scatter overflows float64 have no finite one; both are
-    rejected by name.
-    """
-    data = matrix.data
-    n = data.shape[0]
-    if n < 2:
-        raise DataError("standardization needs at least 2 rows")
-    out = np.empty_like(data)
-    scalings = []
-    # an overflow only ever yields a non-finite sigma, which is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, col_info in enumerate(matrix.columns):
-            col = data[:, c]
-            mean, sigma = mean_and_sigma(col)
-            # sigma underflows to 0 not only for constant columns but also
-            # when the spread is subnormal; both have no usable scale
-            if sigma == 0.0:
-                raise DataError(f"column {col_info.name!r} has zero dispersion")
-            if not math.isfinite(sigma):
-                raise DataError(f"column {col_info.name!r} is too spread out: its scatter overflows")
-            out[:, c] = (col - mean) / sigma
-            scalings.append(ColumnScaling(col_info.name, mean, sigma))
-    return replace(matrix, data=out, scaling=tuple(scalings))
