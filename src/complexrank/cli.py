@@ -80,6 +80,8 @@ def _conditions(text: str) -> list[EncodeMode]:
             modes.append(_mode(token))
     if not modes:
         raise argparse.ArgumentTypeError("at least one condition is required")
+    if len(set(modes)) < len(modes):
+        raise argparse.ArgumentTypeError(f"each condition may be given once, got {text!r}")
     return modes
 
 

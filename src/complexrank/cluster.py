@@ -554,7 +554,7 @@ _CONDITION_LABELS = {
     "numeric": "Numeric only",
     "nominal": "Coded nominal only",
     "combined": "Numeric + coded nominal",
-    "complex": "Numeric + coded nominal",
+    "complex": "Numeric + coded nominal (complex)",
     "onehot": "Numeric + one-hot indicators",
 }
 
@@ -654,7 +654,7 @@ def run_experiment(
 ) -> ExperimentReport:
     """Cluster one dataset repeatedly under several encodings and score purity.
 
-    k is the number of distinct decision labels. Every condition, an EncodeMode
+    k is the number of distinct decision labels. Each condition, a distinct EncodeMode
     or its value, is encoded, standardized per column, and clustered `repeats`
     times from seeds derived deterministically from (master_seed, condition
     index, run index), so a report is reproducible byte for byte. The runs of a
@@ -668,6 +668,8 @@ def run_experiment(
     conditions = [EncodeMode(mode) for mode in conditions]
     if not conditions:
         raise ValueError("at least one condition is required")
+    if len(set(conditions)) < len(conditions):
+        raise ValueError(f"each condition may be given once, got {[mode.value for mode in conditions]}")
     run_indices = np.arange(repeats, dtype=np.uint64)
     seeds = [derive_run_seed(master_seed, ci, run_indices).tolist() for ci in range(len(conditions))]
     label_codes, vocabulary = dataset.codes(decision.name)

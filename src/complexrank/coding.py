@@ -344,8 +344,11 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
     population scatter sqrt(sum(|x - mean|^2) / N), one sigma for both
     channels. Columns whose values are all identical have no scale at all,
     and columns whose scatter overflows float64 have no finite one; the
-    first such column is rejected by name.
+    first such column is rejected by name. A matrix that already has a
+    scaling raises ValueError: a second one would not describe its cells.
     """
+    if matrix.scaling is not None:
+        raise ValueError("the matrix is already standardized")
     if matrix.n_rows < 2:
         raise DataError("standardization needs at least 2 rows")
     block = np.array(matrix.data, order="F")

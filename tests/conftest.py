@@ -6,7 +6,7 @@ from hypothesis import settings
 from complexrank import load_cars
 
 settings.register_profile("default", max_examples=60, deadline=None)
-# HYPOTHESIS_PROFILE=ci: the CI step that reruns the parser and JSON writer properties
+# HYPOTHESIS_PROFILE=ci: the CI step that reruns the parser, JSON writer and standardize properties
 settings.register_profile("ci", max_examples=300, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -51,6 +51,37 @@ def two_pass_standardize(column):
     return mean, sigma, [(v - mean) / sigma for v in vals]
 
 
+def mean_and_sigma(cells: np.ndarray) -> tuple[complex, float]:
+    """One column's complex mean and real population scatter
+    sqrt(sum(|x - mean|^2) / N), one sigma for both channels."""
+    mean = complex(cells.mean())
+    dev = cells - mean
+    return mean, math.sqrt(float(np.sum(dev.real**2 + dev.imag**2)) / len(cells))
+
+
+def per_column_standardize(matrix):
+    """`standardize` one column at a time: (cells, means, sigmas), with each
+    column's cells `(col - mean) / sigma`, or the DataError that names the
+    first column whose sigma is zero or not finite."""
+    from complexrank import DataError
+
+    data = matrix.data
+    out = np.empty_like(data)
+    means, sigmas = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, col_info in enumerate(matrix.columns):
+            col = data[:, c]
+            mean, sigma = mean_and_sigma(col)
+            if sigma == 0.0:
+                raise DataError(f"column {col_info.name!r} has zero dispersion")
+            if not math.isfinite(sigma):
+                raise DataError(f"column {col_info.name!r} is too spread out: its scatter overflows")
+            out[:, c] = (col - mean) / sigma
+            means.append(mean)
+            sigmas.append(sigma)
+    return out, means, sigmas
+
+
 def exhaustive_kmeans_inertia(points, k: int) -> float:
     """Global minimum of the k-means objective over every surjective assignment.
 

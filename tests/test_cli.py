@@ -491,6 +491,21 @@ class TestExperimentCommand:
             main(["experiment", "--conditions", ","])
         assert exc.value.code == 1
 
+    def test_repeated_condition_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--conditions", "combined,combined"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "complexrank experiment: error: argument --conditions: each condition may be given once, "
+            "got 'combined,combined'"
+        )
+
+    def test_alias_condition_runs_beside_combined(self, capsys):
+        code, out, _ = run(capsys, ["experiment", "--repeats", "2", "--conditions", "combined,complex"])
+        assert code == 0
+        assert out.splitlines()[3].startswith("Numeric + coded nominal    ")
+        assert out.splitlines()[4].startswith("Numeric + coded nominal (complex)  ")
+
     def test_default_conditions_are_the_library_default(self, capsys):
         assert build_parser().parse_args(["experiment"]).conditions == list(DEFAULT_CONDITIONS)
         with pytest.raises(SystemExit):

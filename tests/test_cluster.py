@@ -798,6 +798,11 @@ class TestRunExperiment:
         assert "Numeric + coded nominal" in table
         assert ">=90%" in table and "<50%" in table
 
+    def test_table_gives_each_mode_its_own_label(self, cars):
+        report = run_experiment(cars, conditions=list(EncodeMode), repeats=1)
+        labels = [line.split("  ")[0] for line in report.render_table().splitlines()[3:]]
+        assert len(labels) == len(set(labels)) == 6
+
     def test_table_of_an_empty_report(self):
         assert ExperimentReport(0, 1, 1, ()).render_table() == (
             "Accuracy of 1 clustering runs per condition (count of runs by highest threshold reached)\n"
@@ -857,6 +862,11 @@ class TestRunExperiment:
     def test_rejects_empty_conditions(self, cars):
         with pytest.raises(ValueError):
             run_experiment(cars, conditions=[])
+
+    @pytest.mark.parametrize("conditions", [["nominal", "nominal"], [EncodeMode.COMBINED, "adhoc", "combined"]])
+    def test_rejects_a_repeated_condition(self, cars, conditions):
+        with pytest.raises(ValueError, match="each condition may be given once"):
+            run_experiment(cars, conditions=conditions)
 
     def test_default_conditions_are_the_four_comparisons(self):
         assert DEFAULT_CONDITIONS == (

@@ -575,17 +575,27 @@ class TestReadBackAgainstCells:
         with pytest.raises(DataError, match=r"row 2, one-hot columns 3 \('Color=Blue'\) to 3 .*: 0 hot cells"):
             coded_matrix_from_json_dict(doc)
 
-    @pytest.mark.parametrize("mode, name", [("combined", "Color"), ("adhoc", "Color"), ("onehot", "Color=Blue")])
-    def test_scaling_must_be_the_one_the_decoded_cells_give(self, cars, mode, name):
+    @pytest.mark.parametrize(
+        "mode, tampered, name",
+        [("combined", [2], "Color"), ("adhoc", [2], "Color"), ("onehot", [2], "Color=Blue"),
+         ("combined", [5], "Wheel"), ("onehot", [9], "Interior=Leather"),
+         ("combined", [5, 3], "Fuel"), ("onehot", [11, 4], "Color=Red")],
+        ids=["combined-Color", "adhoc-Color", "onehot-Color=Blue", "combined-Wheel", "onehot-Interior=Leather",
+             "combined-Wheel-and-Fuel", "onehot-Wheel=Alloy-and-Color=Red"],
+    )
+    def test_scaling_must_be_the_one_the_decoded_cells_give(self, cars, mode, tampered, name):
+        # the check takes every decoded column at once; the error names the
+        # first tampered column in column order, not the first one edited
         raw = encode_dataset(cars, EncodeMode(mode))
         doc = coded_matrix_to_json_dict(standardize(raw))
-        scaling = doc["scaling"][2]
-        scaling["mean"]["re"] += 1.0  # and the cells rescaled to match the shifted mean
-        mean, sigma = complex(scaling["mean"]["re"], scaling["mean"]["im"]), scaling["sigma"]["re"]
-        for row, z in zip(doc["rows"], ((raw.data[:, 2] - mean) / sigma).tolist()):
-            row[2] = {"re": z.real, "im": z.imag}
-        with pytest.raises(DataError, match=rf"scaling of column 3 \('{name}'\): \(mean, sigma\) is .*, "
-                                            r"but its decoded cells give"):
+        for i in tampered:
+            scaling = doc["scaling"][i]
+            scaling["mean"]["re"] += 1.0  # and the cells rescaled to match the shifted mean
+            mean, sigma = complex(scaling["mean"]["re"], scaling["mean"]["im"]), scaling["sigma"]["re"]
+            for row, z in zip(doc["rows"], ((raw.data[:, i] - mean) / sigma).tolist()):
+                row[i] = {"re": z.real, "im": z.imag}
+        with pytest.raises(DataError, match=rf"scaling of column {min(tampered) + 1} \('{name}'\): "
+                                            r"\(mean, sigma\) is .*, but its decoded cells give"):
             coded_matrix_from_json_dict(doc)
 
     def test_onehot_column_without_rows_is_refused(self, cars):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from complexrank import (
     real_expansion,
     standardize,
 )
-from .oracles import brute_force_inner, two_pass_standardize
+from .oracles import brute_force_inner, per_column_standardize, two_pass_standardize
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, finite, finite)
@@ -154,13 +155,58 @@ class TestRealExpansion:
 
 def _matrix_from_columns(*cols):
     """Build a CodedMatrix by encoding nothing: wrap raw columns directly."""
+    return _matrix_from_array(np.array(cols, dtype=np.complex128).T)
+
+
+def _matrix_from_array(data):
     from complexrank.coding import CodedColumn, CodedMatrix, ColumnSource
 
-    data = np.array(cols, dtype=np.complex128).T
     columns = tuple(
         CodedColumn(f"c{i}", ColumnSource.NUMERIC) for i in range(data.shape[1])
     )
     return CodedMatrix(columns=columns, data=data)
+
+
+# coded values as encode_dataset gives them: ranks on the real axis and on roots of unity
+CODES = np.array([2, -2, 2.5, 1.5j, -1.5, complex(-1.25, 2.1650635094610964), 3.5, 1])
+
+
+@st.composite
+def coded_blocks(draw):
+    """A complex (rows, columns) block, C or Fortran order.
+
+    The row counts sit on both sides of numpy's pairwise-sum block (128
+    values) and of its buffer (8192). Columns are random spread with an
+    offset, repeated coded values or 0/1 indicators, each at its own scale
+    from 1e-150 to 1e150 and with some cells -0.0. Up to two columns are
+    then replaced by a constant column, a column whose scatter overflows,
+    or random spread at 1e-300 or 1e300.
+    """
+    n = draw(st.one_of(st.integers(2, 7), st.integers(127, 129), st.integers(1000, 1100), st.integers(8191, 8193)))
+    c = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["spread", "coded", "zero-one"]), min_size=c, max_size=c))
+    for _ in range(draw(st.integers(0, 2))):
+        kinds[draw(st.integers(0, c - 1))] = draw(st.sampled_from(["constant", "overflow", "tiny", "huge"]))
+    columns = []
+    for kind in kinds:
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        if kind in ("spread", "tiny", "huge"):
+            scale = {"tiny": 1e-300, "huge": 1e300}.get(kind, scale)
+            col = (rng.standard_normal(n) + 1j * rng.standard_normal(n) + 10 * rng.standard_normal()) * scale
+        elif kind == "coded":
+            col = CODES[rng.integers(0, len(CODES), n)] * scale
+        elif kind == "zero-one":
+            col = rng.integers(0, 2, n).astype(np.complex128)
+        elif kind == "constant":
+            col = np.full(n, CODES[5] * scale)
+        else:
+            col = np.where(np.arange(n) % 2, -1e300, 1e300).astype(np.complex128)
+        if kind in ("spread", "coded", "zero-one"):
+            col[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = complex(-0.0, -0.0)
+        columns.append(col)
+    data = np.column_stack(columns)
+    return np.asfortranarray(data) if draw(st.booleans()) else data
 
 
 class TestStandardize:
@@ -259,3 +305,24 @@ class TestStandardize:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
         assert out.scaling[0].mean == pytest.approx(mean, abs=1e-9)
+
+    def test_a_standardized_matrix_is_refused(self, cars):
+        # a second scaling would describe the first one's cells, not the coded
+        # values, and the reader would refuse the document it gives
+        m = standardize(encode_dataset(cars, EncodeMode.COMBINED))
+        with pytest.raises(ValueError, match="already standardized"):
+            standardize(m)
+
+    @given(coded_blocks())
+    def test_property_matches_the_per_column_code_byte_for_byte(self, data):
+        m = _matrix_from_array(data)
+        try:
+            want, means, sigmas = per_column_standardize(m)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                standardize(m)
+            return
+        got = standardize(m)
+        assert got.data.tobytes() == want.tobytes()
+        assert np.array([s.mean for s in got.scaling]).tobytes() == np.array(means).tobytes()
+        assert np.array([s.sigma for s in got.scaling]).tobytes() == np.array(sigmas).tobytes()
