@@ -216,9 +216,9 @@ class ColumnScaling:
 
 def _center(block: np.ndarray) -> tuple[list[complex], list[float]]:
     """Center the columns of a Fortran-order complex (rows, columns) block in
-    place; return their complex means and real population scatters sqrt(sum(|x -
-    mean|^2) / N). Each column is contiguous, so numpy sums it pairwise as it
-    sums a lone column; a C-order block is summed row by row, to other bytes."""
+    place; return their complex means and their real population scatters
+    sqrt(sum(|x - mean|^2) / N). Each column is contiguous, so numpy sums it
+    pairwise as it sums a lone column; a C-order block sums row by row, to other bytes."""
     mean = block.mean(axis=0)
     block -= mean
     squares = block.real**2

@@ -55,4 +55,3 @@ def real_expansion(x: np.ndarray | ComplexVector) -> np.ndarray:
     """
     a = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
     return a.view(np.float64)
-
