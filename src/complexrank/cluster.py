@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import CodedMatrix, EncodeMode, encode_dataset, standardize
+from .coding import _BLOCK_BYTES, CodedMatrix, EncodeMode, encode_dataset, standardize
 from .dataset import DataError, Dataset, factorize
 from .space import real_expansion
 
@@ -29,13 +29,11 @@ SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
 
-# Bytes per block of (restart, row) pairs in the k-means distance step,
-# counted as their n x k x d broadcast. It bounds the scratch of each
-# exact chunk and the size of each screening matrix product: one product
-# over all 30,000 rows of a benchmark table made OpenBLAS allocate thread
-# buffers (7-9 MB more peak RSS). Small enough to stay in cache, large
-# enough to amortize the calls.
-_BLOCK_BYTES = 2 << 20
+# _BLOCK_BYTES counts a block of (restart, row) pairs as their n x k x d
+# broadcast. It bounds each exact chunk's scratch and each screening matrix
+# product: one product over all 30,000 rows of a benchmark table made OpenBLAS
+# allocate thread buffers (7-9 MB more peak RSS). Small enough to stay in
+# cache, large enough to amortize the calls.
 
 _MAX_ITERATIONS = 100
 
@@ -393,9 +391,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
         else:
             cents = _bincount_means(columns, (new + offsets[:m]).ravel(), m, k)
         centroids[live] = cents
-    del columns  # before the inertia step, whose n x d temporaries set the peak
+    del columns  # before the inertia step, whose gathered rows are the second n x d array
 
-    diff = work - centroids[np.arange(R)[:, None], assignments]
+    diff = centroids[np.arange(R)[:, None], assignments]
+    np.subtract(work, diff, out=diff)
     inertia = np.einsum("rnd,rnd->r", diff, diff)
     return assignments, centroids, inertia, iterations, converged, reseeds
 

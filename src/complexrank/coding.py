@@ -214,6 +214,10 @@ class ColumnScaling:
     sigma: float
 
 
+# bytes per block: of columns in standardize, of (restart, row) pairs in k-means
+_BLOCK_BYTES = 2 << 20
+
+
 def _center(block: np.ndarray) -> tuple[list[complex], list[float]]:
     """Center the columns of a Fortran-order complex (rows, columns) block in
     place; return their complex means and their real population scatters
@@ -243,7 +247,11 @@ class CodedMatrix:
     scaling: tuple[ColumnScaling, ...] | None = None
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=np.complex128)
+        data = self.data
+        # adopt a frozen complex128 array that owns its data; copy anything else
+        if not (type(data) is np.ndarray and data.dtype == np.complex128
+                and data.flags.owndata and not data.flags.writeable):
+            data = np.array(data, dtype=np.complex128)
         if data.ndim != 2:
             raise ValueError(f"coded data must be 2-dimensional, got shape {data.shape}")
         if data.shape[1] != len(self.columns):
@@ -252,9 +260,12 @@ class CodedMatrix:
             )
         if self.decision is not None and len(self.decision) != data.shape[0]:
             raise ValueError("decision labels must match the number of rows")
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            r, c = bad[0]
+        seen: dict[str, int] = {}
+        for i, c in enumerate(self.columns, start=1):
+            if seen.setdefault(c.name, i) != i:
+                raise DataError(f"coded columns {seen[c.name]} and {i} are both named {c.name!r}")
+        if not np.isfinite(data).all():
+            r, c = np.argwhere(~np.isfinite(data))[0]
             raise DataError(
                 f"coded cell at row {r + 1}, column {c + 1} ({self.columns[c].name!r}) "
                 f"is not finite: {data[r, c]}"
@@ -298,20 +309,20 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
     if mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT) and Role.NOMINAL not in roles:
         raise DataError(f"mode {mode.value!r} needs at least one nominal column")
 
+    skipped = {EncodeMode.NUMERIC: Role.NOMINAL, EncodeMode.NOMINAL: Role.NUMERIC}.get(mode)
+    features = [c for c in dataset.schema.columns if c.role not in (Role.DECISION, skipped)]
+    onehot = mode is EncodeMode.ONEHOT
+    widths = [len(dataset.codes(c.name)[1]) if onehot and c.role is Role.NOMINAL else 1 for c in features]
+    # each column is written in place into the one array the matrix adopts
+    data = np.zeros((dataset.n_rows, sum(widths)), dtype=np.complex128)
     columns: list[CodedColumn] = []
-    arrays: list[np.ndarray] = []
     codebooks: list[NominalCodebook] = []
     adhoc_codes: dict[str, dict[str, float]] = {}
 
-    for col in dataset.schema.columns:
-        if col.role is Role.DECISION:
-            continue
+    for col, j in zip(features, np.cumsum([0] + widths).tolist()):
         if col.role is Role.NUMERIC:
-            if mode is not EncodeMode.NOMINAL:
-                columns.append(CodedColumn(col.name, ColumnSource.NUMERIC))
-                arrays.append(dataset.numeric(col.name))
-            continue
-        if mode is EncodeMode.NUMERIC:
+            columns.append(CodedColumn(col.name, ColumnSource.NUMERIC))
+            data[:, j] = dataset.numeric(col.name)
             continue
         codes, vocabulary = dataset.codes(col.name)
         if mode in (EncodeMode.COMBINED, EncodeMode.NOMINAL):
@@ -319,18 +330,19 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
             codebooks.append(cb)
             columns.append(CodedColumn(col.name, ColumnSource.COMPLEX_CODED))
             # the entries are in vocabulary order, so a token's code indexes its value
-            arrays.append(np.array([e.value for e in cb.entries.values()])[codes])
+            data[:, j] = np.array([e.value for e in cb.entries.values()])[codes]
         elif mode is EncodeMode.ADHOC:
             adhoc_codes[col.name] = adhoc_codebook(vocabulary)
             columns.append(CodedColumn(col.name, ColumnSource.ADHOC_CODED))
-            arrays.append(codes + 1)
-        elif mode is EncodeMode.ONEHOT:
+            data[:, j] = codes + 1
+        else:
             columns.extend(CodedColumn(f"{col.name}={t}", ColumnSource.ONE_HOT) for t in vocabulary)
-            arrays.append(np.eye(len(vocabulary))[codes])
+            data[np.arange(len(codes)), j + codes] = 1
 
+    data.flags.writeable = False
     return CodedMatrix(
         columns=tuple(columns),
-        data=np.column_stack(arrays),
+        data=data,
         decision=dataset.decision_labels(),
         codebooks=tuple(codebooks),
         adhoc_codes=adhoc_codes,
@@ -351,19 +363,23 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
         raise ValueError("the matrix is already standardized")
     if matrix.n_rows < 2:
         raise DataError("standardization needs at least 2 rows")
-    block = np.array(matrix.data, order="F")
+    data, out, scaling = matrix.data, np.empty_like(matrix.data), []
+    width = max(1, _BLOCK_BYTES // (16 * matrix.n_rows))
     # an overflow only ever yields a non-finite sigma, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sigma = _center(block)
-        for col, s in zip(matrix.columns, sigma):
-            # sigma is 0 for a constant column and for a subnormal spread alike
-            if s == 0.0:
-                raise DataError(f"column {col.name!r} has zero dispersion")
-            if not math.isfinite(s):
-                raise DataError(f"column {col.name!r} is too spread out: its scatter overflows")
-        out = np.divide(block, sigma, out=np.empty_like(matrix.data))
-    del block  # CodedMatrix copies `out`: that copy is the third n x c array, not the fourth
-    return replace(matrix, data=out, scaling=tuple(map(ColumnScaling, matrix.column_names, mean, sigma)))
+        for j in range(0, data.shape[1], width):
+            block = np.array(data[:, j : j + width], order="F")
+            mean, sigma = _center(block)
+            for col, s in zip(matrix.columns[j : j + width], sigma):
+                # sigma is 0 for a constant column and for a subnormal spread alike
+                if s == 0.0:
+                    raise DataError(f"column {col.name!r} has zero dispersion")
+                if not math.isfinite(s):
+                    raise DataError(f"column {col.name!r} is too spread out: its scatter overflows")
+            np.divide(block, sigma, out=out[:, j : j + width])
+            scaling += map(ColumnScaling, matrix.column_names[j : j + width], mean, sigma)
+    out.flags.writeable = False  # so the new matrix adopts it: the second n x c array, not a third
+    return replace(matrix, data=out, scaling=tuple(scaling))
 
 
 def _json_fields(matrix: CodedMatrix) -> tuple[dict, dict]:

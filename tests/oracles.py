@@ -189,6 +189,70 @@ def encode_oracle(dataset, mode: str):
     return data, names, codebooks, adhoc
 
 
+def reference_encode_dataset(dataset, mode):
+    """`encode_dataset` as it was before it wrote each column in place: a
+    block per column (`np.eye` rows for one-hot), one `column_stack` and the
+    matrix's own complex copy. The code below the imports is that version's,
+    unchanged.
+
+    The mode is an EncodeMode or its value; any other raises ValueError.
+    Columns keep their schema order; a one-hot block sits where its source
+    column was. Modes that exist to exercise nominal coding (nominal, adhoc,
+    onehot) require at least one nominal column, and numeric requires at
+    least one numeric column.
+    """
+    from complexrank import DataError, EncodeMode, adhoc_codebook
+    from complexrank.coding import CodedColumn, CodedMatrix, ColumnSource, NominalCodebook, _codebook
+    from complexrank.dataset import Role
+
+    mode = EncodeMode(mode)
+    if mode is EncodeMode.COMPLEX:
+        mode = EncodeMode.COMBINED
+    roles = {c.role for c in dataset.schema.columns}
+    if mode is EncodeMode.NUMERIC and Role.NUMERIC not in roles:
+        raise DataError("mode 'numeric' needs at least one numeric column")
+    if mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT) and Role.NOMINAL not in roles:
+        raise DataError(f"mode {mode.value!r} needs at least one nominal column")
+
+    columns: list[CodedColumn] = []
+    arrays: list[np.ndarray] = []
+    codebooks: list[NominalCodebook] = []
+    adhoc_codes: dict[str, dict[str, float]] = {}
+
+    for col in dataset.schema.columns:
+        if col.role is Role.DECISION:
+            continue
+        if col.role is Role.NUMERIC:
+            if mode is not EncodeMode.NOMINAL:
+                columns.append(CodedColumn(col.name, ColumnSource.NUMERIC))
+                arrays.append(dataset.numeric(col.name))
+            continue
+        if mode is EncodeMode.NUMERIC:
+            continue
+        codes, vocabulary = dataset.codes(col.name)
+        if mode in (EncodeMode.COMBINED, EncodeMode.NOMINAL):
+            cb = _codebook(np.bincount(codes), vocabulary, col.name)
+            codebooks.append(cb)
+            columns.append(CodedColumn(col.name, ColumnSource.COMPLEX_CODED))
+            # the entries are in vocabulary order, so a token's code indexes its value
+            arrays.append(np.array([e.value for e in cb.entries.values()])[codes])
+        elif mode is EncodeMode.ADHOC:
+            adhoc_codes[col.name] = adhoc_codebook(vocabulary)
+            columns.append(CodedColumn(col.name, ColumnSource.ADHOC_CODED))
+            arrays.append(codes + 1)
+        elif mode is EncodeMode.ONEHOT:
+            columns.extend(CodedColumn(f"{col.name}={t}", ColumnSource.ONE_HOT) for t in vocabulary)
+            arrays.append(np.eye(len(vocabulary))[codes])
+
+    return CodedMatrix(
+        columns=tuple(columns),
+        data=np.column_stack(arrays),
+        decision=dataset.decision_labels(),
+        codebooks=tuple(codebooks),
+        adhoc_codes=adhoc_codes,
+    )
+
+
 def reference_encode_json(matrix, mode) -> str:
     """The `encode --json` text through json's own encoder, a dict per cell.
 

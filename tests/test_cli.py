@@ -303,6 +303,20 @@ class TestEncodeCommand:
         assert code == 2
         assert "nominal" in err
 
+    def test_colliding_coded_column_names_are_a_data_error(self, capsys, tmp_path):
+        # numeric "a=x" and the one-hot column of nominal a's token x
+        csv = tmp_path / "c.csv"
+        csv.write_text("a=x,a\n1,x\n2,z\n3,x\n")
+        schema = tmp_path / "c.schema.json"
+        schema.write_text(json.dumps({"columns": [{"name": "a=x", "role": "numeric"},
+                                                  {"name": "a", "role": "nominal"}]}))
+        argv = ["encode", "--input", str(csv), "--schema", str(schema), "--mode", "onehot"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "coded columns 1 and 2 are both named 'a=x'" in err
+        code, _, _ = run(capsys, argv[:-1] + ["adhoc"])
+        assert code == 0
+
     def test_json_and_table_flags_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["encode", "--input", CARS, "--schema", SCHEMA, "--json", "--table"])

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from complexrank import (
     DataError,
@@ -27,7 +28,7 @@ from complexrank.coding import (
 )
 from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
-from .oracles import encode_oracle, reference_encode_json
+from .oracles import encode_oracle, reference_encode_dataset, reference_encode_json
 
 token_lists = st.lists(
     st.text(alphabet="abcdef", min_size=1, max_size=2), min_size=1, max_size=40
@@ -499,6 +500,86 @@ class TestSerialization:
                          CodedColumn("b", ColumnSource.NUMERIC)), data)
 
 
+TWO_COLUMNS = (CodedColumn("a", ColumnSource.NUMERIC), CodedColumn("b", ColumnSource.NUMERIC))
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class TestAdoption:
+    """CodedMatrix keeps a frozen complex128 array that owns its data and
+    copies anything else, so no caller can write to its cells."""
+
+    def test_a_frozen_owning_complex_array_is_kept(self):
+        arr = frozen(np.ones((3, 2), dtype=np.complex128))
+        assert CodedMatrix(TWO_COLUMNS, arr).data is arr
+
+    def test_encode_and_standardize_results_are_kept_uncopied(self, cars):
+        m = encode_dataset(cars, EncodeMode.ONEHOT)
+        assert m.data.flags.owndata and not m.data.flags.writeable
+        assert replace(m, decision=None).data is m.data
+        s = standardize(m)
+        assert s.data.flags.owndata and not s.data.flags.writeable
+
+    def test_a_writable_array_is_copied(self):
+        arr = np.ones((3, 2), dtype=np.complex128)
+        m = CodedMatrix(TWO_COLUMNS, arr)
+        arr[0, 0] = 7
+        assert m.data is not arr and m.data[0, 0] == 1 and not m.data.flags.writeable
+
+    def test_a_frozen_view_is_copied(self):
+        base = np.ones((3, 4), dtype=np.complex128)
+        m = CodedMatrix(TWO_COLUMNS, frozen(base[:, :2]))
+        base[0, 0] = 7
+        assert m.data[0, 0] == 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.dtype(">c16")])
+    def test_another_dtype_is_copied(self, dtype):
+        arr = frozen(np.ones((3, 2), dtype=dtype))
+        m = CodedMatrix(TWO_COLUMNS, arr)
+        arr.flags.writeable = True  # the caller owns it and may write again
+        arr[0, 0] = 7
+        assert m.data.dtype == np.complex128 and m.data[0, 0] == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_an_adopted_array_with_a_non_finite_cell_is_refused(self, bad):
+        arr = np.ones((3, 2), dtype=np.complex128)
+        arr[2, 1] = bad
+        with pytest.raises(DataError, match=r"row 3, column 2 \('b'\) is not finite"):
+            CodedMatrix(TWO_COLUMNS, frozen(arr))
+
+
+def colliding_dataset() -> Dataset:
+    """A numeric column named a=x beside a nominal column a with token x."""
+    schema = AttributeSchema((Column("a=x", Role.NUMERIC), Column("a", Role.NOMINAL)))
+    return Dataset(schema, [[1.0, 2.0, 3.0], ["x", "z", "x"]])
+
+
+class TestDuplicateColumnNames:
+    def test_a_repeated_name_is_refused_naming_both_positions(self):
+        columns = (CodedColumn("a", ColumnSource.NUMERIC), CodedColumn("b", ColumnSource.NUMERIC),
+                   CodedColumn("a", ColumnSource.ADHOC_CODED))
+        with pytest.raises(DataError, match=r"coded columns 1 and 3 are both named 'a'"):
+            CodedMatrix(columns, np.ones((2, 3)))
+
+    def test_a_one_hot_name_that_repeats_a_numeric_one_is_refused(self):
+        # it once gave ('a=x', 'a=x', 'a=z'), and column("a=x") the numeric column
+        with pytest.raises(DataError, match=r"coded columns 1 and 2 are both named 'a=x'"):
+            encode_dataset(colliding_dataset(), EncodeMode.ONEHOT)
+
+    def test_the_other_modes_keep_distinct_names(self):
+        for mode in (EncodeMode.COMBINED, EncodeMode.ADHOC):
+            assert encode_dataset(colliding_dataset(), mode).column_names == ("a=x", "a")
+
+    def test_the_reader_refuses_a_document_with_a_repeated_name(self, cars):
+        doc = json.loads(coded_matrix_to_json(encode_dataset(cars, EncodeMode.NUMERIC), EncodeMode.NUMERIC))
+        doc["columns"][1]["name"] = "Door"
+        with pytest.raises(DataError, match=r"coded columns 1 and 2 are both named 'Door'"):
+            coded_matrix_from_json_dict(doc)
+
+
 def swap_cells(rows, a, b, c):
     """Swap the cells of rows a and b (0-based) in column c."""
     rows[a][c], rows[b][c] = rows[b][c], rows[a][c]
@@ -748,6 +829,61 @@ def tied_datasets(draw):
         columns.append(draw(st.permutations(cells)))
     schema = AttributeSchema(tuple(Column(f"c{i}", r) for i, r in enumerate(roles)))
     return Dataset(schema, columns)
+
+
+@st.composite
+def encodable_datasets(draw):
+    """Small tables for the in-place encoder: numeric cells that include -0.0,
+    nominal columns of one to four tokens, nominal-only schemas and an
+    optional decision column."""
+    n_rows = draw(st.integers(1, 12))
+    roles = draw(st.lists(st.sampled_from([Role.NUMERIC, Role.NOMINAL]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        roles.append(Role.DECISION)
+    numbers = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+    columns = []
+    for role in roles:
+        if role is Role.NUMERIC:
+            columns.append(draw(st.lists(numbers, min_size=n_rows, max_size=n_rows)))
+        else:
+            tokens = draw(st.sampled_from(["x", "xy", "wxyz"]))
+            columns.append(draw(st.lists(st.sampled_from(tokens), min_size=n_rows, max_size=n_rows)))
+    schema = AttributeSchema(tuple(Column(f"c{i}", r) for i, r in enumerate(roles)))
+    return Dataset(schema, columns)
+
+
+def table(roles, *columns) -> Dataset:
+    return Dataset(AttributeSchema(tuple(Column(f"c{i}", r) for i, r in enumerate(roles))), columns)
+
+
+def encoded(ds: Dataset, mode: EncodeMode, encode):
+    """What an encoder gives: the matrix's fields, or the DataError's message."""
+    try:
+        m = encode(ds, mode)
+    except DataError as exc:
+        return str(exc)
+    return (m.data.dtype, m.data.shape, m.data.tobytes(), m.columns, m.decision,
+            repr(m.codebooks), repr(m.adhoc_codes))
+
+
+class TestInPlaceEncodeAgainstOracle:
+    """`encode_dataset` writes each column into one preallocated array; the
+    matrix must be the per-column blocks and column_stack of the old code, bit for bit."""
+
+    @given(encodable_datasets())
+    @example(table([Role.NUMERIC, Role.NOMINAL, Role.DECISION], [-0.0, 0.0, -0.0], ["x"] * 3, list("LLM")))
+    @example(table([Role.NOMINAL, Role.NOMINAL], list("xyx"), list("zzz")))
+    @example(table([Role.NOMINAL], ["x"]))
+    def test_every_mode_matches_the_column_stack_encoder(self, ds):
+        for mode in EncodeMode:
+            assert encoded(ds, mode, encode_dataset) == encoded(ds, mode, reference_encode_dataset)
+
+    def test_the_examples_keep_negative_zero_and_a_one_token_block(self):
+        ds = table([Role.NUMERIC, Role.NOMINAL], [-0.0, 1.0], ["x", "x"])
+        m = encode_dataset(ds, EncodeMode.ONEHOT)
+        assert m.column_names == ("c0", "c1=x")
+        assert [bits(z) for z in m.data[:, 0]] == [bits(complex(-0.0, 0.0)), bits(1 + 0j)]
+        assert m.data[:, 1].tolist() == [1, 1]
 
 
 def bits(z: complex) -> tuple[str, str]:
