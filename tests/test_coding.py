@@ -516,12 +516,9 @@ class TestAdoption:
         arr = frozen(np.ones((3, 2), dtype=np.complex128))
         assert CodedMatrix(TWO_COLUMNS, arr).data is arr
 
-    def test_encode_and_standardize_results_are_kept_uncopied(self, cars):
+    def test_a_matrix_rebuilt_from_another_shares_its_cells(self, cars):
         m = encode_dataset(cars, EncodeMode.ONEHOT)
-        assert m.data.flags.owndata and not m.data.flags.writeable
         assert replace(m, decision=None).data is m.data
-        s = standardize(m)
-        assert s.data.flags.owndata and not s.data.flags.writeable
 
     def test_a_writable_array_is_copied(self):
         arr = np.ones((3, 2), dtype=np.complex128)
@@ -877,13 +874,6 @@ class TestInPlaceEncodeAgainstOracle:
     def test_every_mode_matches_the_column_stack_encoder(self, ds):
         for mode in EncodeMode:
             assert encoded(ds, mode, encode_dataset) == encoded(ds, mode, reference_encode_dataset)
-
-    def test_the_examples_keep_negative_zero_and_a_one_token_block(self):
-        ds = table([Role.NUMERIC, Role.NOMINAL], [-0.0, 1.0], ["x", "x"])
-        m = encode_dataset(ds, EncodeMode.ONEHOT)
-        assert m.column_names == ("c0", "c1=x")
-        assert [bits(z) for z in m.data[:, 0]] == [bits(complex(-0.0, 0.0)), bits(1 + 0j)]
-        assert m.data[:, 1].tolist() == [1, 1]
 
 
 def bits(z: complex) -> tuple[str, str]:
