@@ -238,14 +238,15 @@ def cmd_cluster(args) -> tuple[str, str]:
     return "\n".join(lines) + "\n", json_text
 
 
-def cmd_experiment(args) -> tuple[str, str]:
+def cmd_experiment(args) -> tuple[str, str | None]:
     report = run_experiment(
         _load_dataset(args),
         conditions=args.conditions,
         repeats=args.repeats,
         master_seed=args.seed,
     )
-    json_text = report.to_json()
+    # the report is written as JSON only where it is printed or written (main writes it only with --output)
+    json_text = report.to_json() if args.json or args.output is not None else None
     return json_text if args.json else report.render_table(), json_text
 
 

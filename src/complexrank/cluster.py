@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ _M32 = (1 << 32) - 1
 # cache, large enough to amortize the calls.
 
 _MAX_ITERATIONS = 100
+_UNREACHED = 1 << 62  # a slack above any reduced cost of a count table
 
 
 def splitmix64(x: int) -> int:
@@ -199,29 +201,34 @@ class _PCG64:
         return (m >> 32).astype(np.intp)
 
 
-def _start(work: np.ndarray, k: int, seeds: list[int]) -> np.ndarray:
-    """(restarts, k, d) starting centroids: k distinct random rows per seed.
+def _start(n: int, k: int, seeds: list[int]) -> np.ndarray:
+    """(seeds, k) starting rows: k distinct rows of n per seed.
 
     Seed s picks the rows of np.random.default_rng(s).choice(n, k,
-    replace=False) under numpy 2.x, in that order; all seeds draw at once.
+    replace=False) under numpy 2.x, in that order. The seeds draw side by
+    side, as many at once as keep the drawn rows within _BLOCK_BYTES.
     """
-    n = len(work)
-    rng = _PCG64(seeds)
-    at = rng.every
-    if n > 10000 and k > n // 50:
-        # numpy shuffles the tail of arange(n); its last k entries are the rows
-        rows, first = np.tile(np.arange(n), (len(at), 1)), max(n - k, 1)
-    else:
-        # Floyd's algorithm: a draw in [0, j] already taken takes j instead;
-        # the k picks are then shuffled
-        rows, first = np.empty((len(at), k), dtype=np.intp), 1
-        for t, j in enumerate(range(n - k, n)):
-            v = rng.bounded(j)
-            rows[:, t] = np.where((rows[:, :t] == v[:, None]).any(axis=1), j, v)
-    for i in range(rows.shape[1] - 1, first - 1, -1):  # Fisher-Yates, from the end
-        j = rng.bounded(i)
-        rows[at, i], rows[at, j] = rows[at, j], rows[at, i]
-    return work[rows[:, -k:]]
+    tail = n > 10000 and k > n // 50
+    per = max(1, _BLOCK_BYTES // (8 * (n if tail else k)))
+    out = np.empty((len(seeds), k), dtype=np.intp)
+    for lo in range(0, len(seeds), per):
+        rng = _PCG64(seeds[lo : lo + per])
+        at = rng.every
+        if tail:
+            # numpy shuffles the tail of arange(n); its last k entries are the rows
+            rows, first = np.tile(np.arange(n), (len(at), 1)), max(n - k, 1)
+        else:
+            # Floyd's algorithm: a draw in [0, j] already taken takes j instead;
+            # the k picks are then shuffled
+            rows, first = np.empty((len(at), k), dtype=np.intp), 1
+            for t, j in enumerate(range(n - k, n)):
+                v = rng.bounded(j)
+                rows[:, t] = np.where((rows[:, :t] == v[:, None]).any(axis=1), j, v)
+        for i in range(rows.shape[1] - 1, first - 1, -1):  # Fisher-Yates, from the end
+            j = rng.bounded(i)
+            rows[at, i], rows[at, j] = rows[at, j], rows[at, i]
+        out[lo : lo + per] = rows[:, -k:]
+    return out
 
 
 def kmeans(
@@ -263,7 +270,7 @@ def kmeans(
         seed = operator.index(seed)  # numpy's seed rule: any int, bool or numpy integer
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        start = _start(work, k, [seed])
+        start = work[_start(n, k, [seed])]
     else:
         init, init_complex = _working_view(initial_centroids)
         if init_complex != was_complex or init.shape != (k, work.shape[1]):
@@ -295,9 +302,9 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
 
     work is the (n, d) real matrix and centroids the (R, k, d) starts.
     Each restart runs exactly as it would alone: the live restarts drop
-    one as soon as its assignments repeat, and empty clusters are
-    reseeded restart by restart. Returns per-restart assignments (R, n),
-    centroids (R, k, d), inertia, iterations, converged and reseeds.
+    one as soon as its assignments repeat, and the restarts that emptied
+    cluster c reseed it side by side, c in ascending order. Returns per-restart
+    assignments (R, n), centroids (R, k, d), inertia, iterations, converged and reseeds.
 
     Each step screens the argmin with |x|^2 - 2 x.c + |c|^2 from a matrix
     product and trusts it only where the gap to the runner-up exceeds a
@@ -315,8 +322,12 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     reseeds = np.zeros(R, dtype=np.intp)
     # the bincount update reads each dimension as one contiguous column;
     # for d = 1 a cluster's mean sums its contiguous column pairwise,
-    # which a bincount would not reproduce, so d = 1 keeps the mean
-    columns = np.ascontiguousarray(work.T) if d > 1 else None
+    # which a bincount would not reproduce, so d = 1 keeps the mean and
+    # leaves its copy unused. The transpose is copied a block of rows at a
+    # time, which stays in cache
+    columns, span = np.empty((d, n)), max(1, _BLOCK_BYTES // (8 * d))
+    for s in range(0, n, span):
+        columns[:, s : s + span] = work[s : s + span].T
     # the screen takes one matrix product per block of rows over all live
     # restarts; rows are the outer axis, so a block is one contiguous slice
     sq = np.einsum("nd,nd->n", work, work)
@@ -357,21 +368,26 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
 
         offsets = (np.arange(m) * k)[:, None]
         sizes = np.bincount((new + offsets).ravel(), minlength=m * k).reshape(m, k)
-        for i in np.flatnonzero((sizes == 0).any(axis=1)):
+        empty = np.flatnonzero((sizes == 0).any(axis=1))
+        if empty.size:
             # the farthest-point reseed reads exact distances of every row
-            own = new[i]
-            point_d2 = _exact_d2(work, np.arange(n), cents, np.full(n, i), block)[np.arange(n), own]
+            # of every restart that emptied a cluster
+            own, pairs = new[empty], np.arange(empty.size * n)
+            point_d2 = _exact_d2(work, pairs % n, cents, empty.repeat(n), block)[pairs, own.ravel()].reshape(-1, n)
             # a restart only takes a point from a cluster of size > 1, so it
-            # never empties a cluster and the empty set found here stays exact
-            for c in np.flatnonzero(sizes[i] == 0):
-                # restart the empty cluster on the farthest point whose own
-                # cluster can spare it
-                eligible = np.bincount(own, minlength=k)[own] > 1
-                p = int(np.argmax(np.where(eligible, point_d2, -np.inf)))
-                own[p] = c
-                cents[i, c] = work[p]
-                point_d2[p] = 0.0
-                reseeds[live[i]] += 1
+            # never empties a cluster and the empty sets found here stay exact;
+            # a point taken sits alone in its new cluster, so none is taken twice
+            for c in np.flatnonzero((sizes[empty] == 0).any(axis=0)):
+                # each restart with cluster c empty restarts it on its farthest
+                # point whose own cluster can spare it, ties to the lowest row
+                at = np.flatnonzero(sizes[empty, c] == 0)
+                counts = np.bincount((own[at] + (np.arange(at.size) * k)[:, None]).ravel(), minlength=at.size * k)
+                eligible = np.take_along_axis(counts.reshape(-1, k), own[at], axis=1) > 1
+                p = np.argmax(np.where(eligible, point_d2[at], -np.inf), axis=1)
+                own[at, p] = c
+                cents[empty[at], c] = work[p]
+                reseeds[live[empty[at]]] += 1
+            new[empty] = own
 
         # a restart whose assignments repeat stops with its centroids as
         # they stand, reseeds included; the others move to their means
@@ -384,7 +400,7 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
         if not m:
             break
         assignments[live] = new
-        if columns is None:
+        if d == 1:
             for i in range(m):
                 for c in range(k):
                     cents[i, c] = work[new[i] == c].mean(axis=0)
@@ -444,69 +460,68 @@ def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:
         raise ValueError(
             f"{len(distinct)} labels cannot be matched injectively to {len(clusters)} clusters"
         )
-    return _purities(cluster_codes[None], label_codes, len(distinct), len(clusters))[0]
+    tables = _count_tables(cluster_codes[None], label_codes, len(distinct), len(clusters))
+    return int(_max_matchings(tables)[0]) / len(cluster_codes)
 
 
-def _purities(assignments: np.ndarray, labels: np.ndarray, n_labels: int, n_clusters: int) -> list[float]:
-    """purity_accuracy of each row of (R, n) cluster codes against label codes.
-
-    The R label x cluster count tables come from one bincount, and each
-    distinct table is matched once.
-    """
-    R, n = assignments.shape
+def _count_tables(assignments: np.ndarray, labels: np.ndarray, n_labels: int, n_clusters: int) -> np.ndarray:
+    """(R, labels, clusters) tables counting each row of (R, n) cluster codes against labels, in one bincount."""
+    R = len(assignments)
     key = (np.arange(R)[:, None] * n_labels + labels) * n_clusters + assignments
-    tables = np.bincount(key.ravel(), minlength=R * n_labels * n_clusters)
-    best: dict[bytes, int] = {}
-    out = []
-    for table in tables.reshape(R, n_labels, n_clusters):
-        t = table.tobytes()
-        if t not in best:
-            best[t] = _max_matching(table.tolist())
-        out.append(best[t] / n)
-    return out
+    return np.bincount(key.ravel(), minlength=R * n_labels * n_clusters).reshape(R, n_labels, n_clusters)
 
 
-def _max_matching(weights: list[list[int]]) -> int:
-    """Largest total weight of a matching that gives every row its own column.
+def _max_matchings(tables: np.ndarray) -> np.ndarray:
+    """Largest total weight of a matching that gives every row its own
+    column, for each table of an int64 (T, rows, columns) stack, rows <= columns.
 
-    The Hungarian method with shortest augmenting paths (Kuhn 1955;
-    Jonker and Volgenant 1987) in O(rows^2 * columns), for rows <= columns.
-    It runs on Python ints, so the optimum is exact, not rounded.
+    The Hungarian method with shortest augmenting paths (Kuhn 1955; Jonker
+    and Volgenant 1987) in O(rows^2 * columns) steps, on as many tables at
+    once as _BLOCK_BYTES holds: a table whose path has ended takes zero
+    steps until the others' end. On int64, so each optimum is exact.
     """
-    n_cols = len(weights[0])
-    # potentials u (rows) and v (columns) of the dual, 1-based; column 0
-    # is a sentinel and owner[j] is the row matched to column j (0: none)
-    u = [0] * (len(weights) + 1)
-    v = [0] * (n_cols + 1)
-    owner = [0] * (n_cols + 1)
-    way = [0] * (n_cols + 1)
-    for i in range(1, len(weights) + 1):
-        owner[0] = i
-        j0 = 0
-        slack = [math.inf] * (n_cols + 1)
-        used = [False] * (n_cols + 1)
-        while owner[j0]:
-            used[j0] = True
-            row, ui = weights[owner[j0] - 1], u[owner[j0]]
-            delta, j1 = math.inf, 0
-            for j in range(1, n_cols + 1):
-                if not used[j]:
-                    reduced = -row[j - 1] - ui - v[j]
-                    if reduced < slack[j]:
-                        slack[j], way[j] = reduced, j0
-                    if slack[j] < delta:
-                        delta, j1 = slack[j], j
-            for j in range(n_cols + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:  # flip the alternating path back to the sentinel
-            owner[j0] = owner[way[j0]]
-            j0 = way[j0]
-    return sum(weights[i - 1][j - 1] for j, i in enumerate(owner) if j and i)
+    T, L, C = tables.shape
+    out = np.empty(T, dtype=np.int64)
+    per = max(1, _BLOCK_BYTES // (8 * L * C))
+    for lo in range(0, T, per):
+        weights = tables[lo : lo + per].reshape(-1, C)
+        t = len(weights) // L
+        first = np.arange(t) * L - 1  # row r (1-based) of table i is weights[first[i] + r]
+        base = np.arange(t) * (C + 1)  # column j of table i is at base[i] + j of a raveled (t, C + 1) array
+        # the dual's potentials: v of the columns, and each row's by the
+        # column it is matched to; column 0 is a sentinel that holds the row
+        # being added, and owner[:, j] is the row matched to column j (0: none)
+        row_pot, v, owner, way = (np.zeros((t, C + 1), dtype=np.int64) for _ in range(4))
+        for i in range(1, L + 1):
+            owner[:, 0], row_pot[:, 0] = i, 0
+            j0 = np.zeros(t, dtype=np.intp)
+            slack = np.full((t, C + 1), _UNREACHED)
+            used = np.zeros((t, C + 1), dtype=bool)
+            going = np.ones(t, dtype=bool)
+            while going.any():  # the tables whose path has not reached a free column
+                at = base + j0
+                used.ravel()[at] |= going
+                reduced = -weights[first + owner.ravel()[at]] - row_pot.ravel()[at][:, None] - v[:, 1:]
+                better = ~used[:, 1:] & going[:, None] & (reduced < slack[:, 1:])
+                np.copyto(slack[:, 1:], reduced, where=better)
+                np.copyto(way[:, 1:], j0[:, None], where=better)
+                # the free column of least slack, ties to the lowest
+                j1 = np.where(used, _UNREACHED, slack).argmin(axis=1)
+                delta = np.where(going, slack.ravel()[base + j1], 0)
+                step = used * delta[:, None]
+                row_pot += step
+                v -= step
+                slack -= delta[:, None] - step
+                j0 = np.where(going, j1, j0)
+                going = owner.ravel()[base + j0] != 0
+            while j0.any():  # flip each alternating path back to the sentinel
+                at, src = base + j0, base + way.ravel()[base + j0]
+                owner.ravel()[at] = owner.ravel()[src]
+                row_pot.ravel()[at] = row_pot.ravel()[src]
+                j0 = way.ravel()[at]
+        matched = owner[:, 1:]
+        out[lo : lo + per] = np.where(matched > 0, weights[first[:, None] + matched, np.arange(C)], 0).sum(axis=1)
+    return out
 
 
 ACCURACY_EDGES = (0.9, 0.8, 0.7, 0.6, 0.5)
@@ -514,34 +529,20 @@ BUCKET_KEYS = ("90", "80", "70", "60", "50", "below")
 
 
 def bucket_accuracies(accuracies: Sequence[float]) -> dict[str, int]:
-    """Count runs by the highest accuracy threshold they reach."""
-    buckets = {key: 0 for key in BUCKET_KEYS}
-    for a in accuracies:
-        for edge, key in zip(ACCURACY_EDGES, BUCKET_KEYS):
-            if a >= edge:
-                buckets[key] += 1
-                break
-        else:
-            buckets["below"] += 1
-    return buckets
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    seed: int
-    accuracy: float
-    inertia: float
-    iterations: int
+    """Count runs by the highest accuracy threshold they reach (NaN reaches none)."""
+    reached = (np.asarray(accuracies, dtype=np.float64)[:, None] >= ACCURACY_EDGES).sum(axis=1)
+    counts = np.bincount(len(ACCURACY_EDGES) - reached, minlength=len(BUCKET_KEYS))
+    return dict(zip(BUCKET_KEYS, counts.tolist()))
 
 
 @dataclass(frozen=True)
 class ConditionResult:
+    """One condition's runs as columns: run r has seeds[r], accuracies[r] and so on."""
     name: str
-    runs: tuple[RunRecord, ...]
-
-    @property
-    def accuracies(self) -> list[float]:
-        return [r.accuracy for r in self.runs]
+    seeds: tuple[int, ...]
+    accuracies: tuple[float, ...]
+    inertias: tuple[float, ...]
+    iterations: tuple[int, ...]
 
     @property
     def buckets(self) -> dict[str, int]:
@@ -567,16 +568,20 @@ _JSON_RUN = (
 )
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON array of already written items, closed at `indent`."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def _json_list(items: str, indent: str) -> str:
+    """A JSON array of already written items joined by ",\n", closed at `indent`."""
+    return "[\n" + items + "\n" + indent + "]" if items else "[]"
 
 
-def _json_float(x: float) -> str:
-    """A float as json writes it; a non-finite value is no JSON number."""
-    if not math.isfinite(x):
-        raise ValueError(f"{x} cannot be written as a JSON number")
-    return float.__repr__(x)
+def _json_floats(values: Sequence[float]) -> list[str]:
+    """Each float as json writes it, each distinct bit pattern (so -0.0
+    apart from 0.0) formatted once; a non-finite value is no JSON number."""
+    values = np.array(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{values[~np.isfinite(values)][0]} cannot be written as a JSON number")
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return [text[i] for i in inverse.tolist()]
 
 
 @dataclass(frozen=True)
@@ -592,20 +597,21 @@ class ExperimentReport:
         The object holds master_seed, repeats, k, rng (the generator and
         seed derivation notes) and conditions, each with its name, its
         runs (seed, accuracy, inertia, iterations) and its bucket counts.
-        Each run is written through one template instead of json's
-        encoder; a non-finite accuracy or inertia raises ValueError.
+        A condition's runs fill one repeated template in one format, with
+        each distinct accuracy and inertia written once, instead of going
+        through json's encoder; a non-finite one raises ValueError.
         """
-        conditions = [
+        conditions = ",\n".join(
             _JSON_CONDITION % (
                 json.dumps(c.name),
-                _json_list([
-                    _JSON_RUN % (r.seed, _json_float(r.accuracy), _json_float(r.inertia), r.iterations)
-                    for r in c.runs
-                ], "      "),
+                # every run's template filled by one format
+                _json_list(",\n".join([_JSON_RUN] * len(c.seeds)) % tuple(chain.from_iterable(
+                    zip(c.seeds, _json_floats(c.accuracies), _json_floats(c.inertias), c.iterations)
+                )), "      "),
                 json.dumps(c.buckets, indent=2).replace("\n", "\n      "),
             )
             for c in self.conditions
-        ]
+        )
         # the head dump is a non-empty object: "{\n" + fields + "\n}"
         head = json.dumps({
             "master_seed": self.master_seed,
@@ -670,26 +676,27 @@ def run_experiment(
     if len(set(conditions)) < len(conditions):
         raise ValueError(f"each condition may be given once, got {[mode.value for mode in conditions]}")
     run_indices = np.arange(repeats, dtype=np.uint64)
-    seeds = [derive_run_seed(master_seed, ci, run_indices).tolist() for ci in range(len(conditions))]
+    seeds = np.stack([derive_run_seed(master_seed, ci, run_indices) for ci in range(len(conditions))])
     label_codes, vocabulary = dataset.codes(decision.name)
-    k = len(vocabulary)
-    results = []
+    n, k = len(label_codes), len(vocabulary)
+    # every condition's starts in one draw; all runs' count tables matched at once
+    starts = _start(n, k, seeds.ravel().tolist()).reshape(len(conditions), repeats, k)
+    tables, inertias, iterations = [], np.empty(seeds.shape), np.empty(seeds.shape, dtype=np.intp)
     for ci, mode in enumerate(conditions):
         work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
         # restarts per batch: as many as one distance block holds, so the
         # distance scratch and the inertia step's temporaries stay within
         # _BLOCK_BYTES (a batch of one restart splits its rows into blocks)
-        per = max(1, _BLOCK_BYTES // (8 * k * work.shape[1]) // len(work))
-        runs = []
+        per = max(1, _BLOCK_BYTES // (8 * k * work.shape[1]) // n)
         for lo in range(0, repeats, per):
-            batch = seeds[ci][lo : lo + per]
-            assignments, _, inertia, iterations, _, _ = _lloyd(work, _start(work, k, batch), _MAX_ITERATIONS)
-            accuracy = _purities(assignments, label_codes, k, k)
-            runs += map(RunRecord, batch, accuracy, inertia.tolist(), iterations.tolist())
-        results.append(ConditionResult(name=mode.value, runs=tuple(runs)))
+            result = _lloyd(work, work[starts[ci, lo : lo + per]], _MAX_ITERATIONS)
+            tables.append(_count_tables(result[0], label_codes, k, k))
+            inertias[ci, lo : lo + per], iterations[ci, lo : lo + per] = result[2:4]
+    accuracies = _max_matchings(np.concatenate(tables)).reshape(seeds.shape) / n
+    columns = [c.tolist() for c in (seeds, accuracies, inertias, iterations)]
     return ExperimentReport(
         master_seed=operator.index(master_seed),
         repeats=repeats,
         k=k,
-        conditions=tuple(results),
+        conditions=tuple(ConditionResult(mode.value, *map(tuple, runs)) for mode, *runs in zip(conditions, *columns)),
     )

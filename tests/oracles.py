@@ -7,7 +7,6 @@ sides of a comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -330,22 +329,86 @@ def reference_report_json(report) -> str:
     """`experiment --json` text through json's own encoder.
 
     The head fields, the rng notes, then per condition its name, its runs
-    as `dataclasses.asdict` gives them and its bucket counts, laid out by
-    `json.dumps(indent=2)`.
+    as (seed, accuracy, inertia, iterations) objects read from its
+    columns and its bucket counts, laid out by `json.dumps(indent=2)`.
     """
     from complexrank.cluster import RNG_NOTE, SEED_NOTE
 
+    keys = ("seed", "accuracy", "inertia", "iterations")
     doc = {
         "master_seed": report.master_seed,
         "repeats": report.repeats,
         "k": report.k,
         "rng": {"generator": RNG_NOTE, "seed_derivation": SEED_NOTE},
         "conditions": [
-            {"name": c.name, "runs": [dataclasses.asdict(r) for r in c.runs], "buckets": c.buckets}
+            {
+                "name": c.name,
+                "runs": [dict(zip(keys, run)) for run in zip(c.seeds, c.accuracies, c.inertias, c.iterations)],
+                "buckets": c.buckets,
+            }
             for c in report.conditions
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_bucket_accuracies(accuracies) -> dict[str, int]:
+    """Count runs by the highest accuracy threshold they reach, one run
+    and one threshold at a time."""
+    from complexrank.cluster import ACCURACY_EDGES, BUCKET_KEYS
+
+    buckets = {key: 0 for key in BUCKET_KEYS}
+    for a in accuracies:
+        for edge, key in zip(ACCURACY_EDGES, BUCKET_KEYS):
+            if a >= edge:
+                buckets[key] += 1
+                break
+        else:
+            buckets["below"] += 1
+    return buckets
+
+
+def reference_max_matching(weights: list[list[int]]) -> int:
+    """Largest total weight of a matching that gives every row its own column.
+
+    The Hungarian method with shortest augmenting paths (Kuhn 1955;
+    Jonker and Volgenant 1987) in O(rows^2 * columns), for rows <= columns.
+    It runs on Python ints, so the optimum is exact, not rounded.
+    """
+    n_cols = len(weights[0])
+    # potentials u (rows) and v (columns) of the dual, 1-based; column 0
+    # is a sentinel and owner[j] is the row matched to column j (0: none)
+    u = [0] * (len(weights) + 1)
+    v = [0] * (n_cols + 1)
+    owner = [0] * (n_cols + 1)
+    way = [0] * (n_cols + 1)
+    for i in range(1, len(weights) + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [math.inf] * (n_cols + 1)
+        used = [False] * (n_cols + 1)
+        while owner[j0]:
+            used[j0] = True
+            row, ui = weights[owner[j0] - 1], u[owner[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, n_cols + 1):
+                if not used[j]:
+                    reduced = -row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n_cols + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the alternating path back to the sentinel
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    return sum(weights[i - 1][j - 1] for j, i in enumerate(owner) if j and i)
 
 
 def brute_force_purity(assignments, labels) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode, load_cars, standardize
 from complexrank.cli import build_parser, format_complex, main
-from complexrank.cluster import DEFAULT_CONDITIONS
+from complexrank.cluster import DEFAULT_CONDITIONS, ExperimentReport
 from complexrank.dataset import cars_csv_path, cars_schema_path
 
 from .oracles import broadcast_kmeans, reference_encode_json
@@ -479,6 +479,18 @@ class TestExperimentCommand:
         code, out, _ = run(capsys, args)
         assert code == 0
         assert out_file.read_text() == out
+
+    def test_table_alone_builds_no_json_report(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(ExperimentReport, "to_json", lambda self: built.append(self) or "")
+        assert run(capsys, ["experiment", "--seed", "0", "--repeats", "20"]) == (0, EXPERIMENT_TABLE_SEED_0, "")
+        assert not built
+
+    def test_table_with_output_writes_the_json_report(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["experiment", "--seed", "0", "--repeats", "20", "--output", str(out_file)])
+        assert (code, out) == (0, EXPERIMENT_TABLE_SEED_0)
+        assert out_file.read_text() == run(capsys, ["experiment", "--json", "--seed", "0", "--repeats", "20"])[1]
 
     def test_conditions_subset(self, capsys):
         code, out, _ = run(

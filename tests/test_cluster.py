@@ -26,7 +26,6 @@ from complexrank.cluster import (
     DEFAULT_CONDITIONS,
     ConditionResult,
     ExperimentReport,
-    RunRecord,
 )
 from complexrank.dataset import AttributeSchema, Dataset
 from .oracles import (
@@ -35,6 +34,8 @@ from .oracles import (
     exhaustive_kmeans_inertia,
     naive_kmeans_inertia,
     numpy_choice,
+    reference_bucket_accuracies,
+    reference_max_matching,
     reference_report_json,
 )
 
@@ -354,13 +355,14 @@ def assert_runs_match_the_oracles(dataset, conditions, repeats, master_seed, cap
     labels = dataset.decision_labels()
     for ci, (mode, condition) in enumerate(zip(conditions, report.conditions)):
         data = standardize(encode_dataset(dataset, mode)).data
-        for ri, run in enumerate(condition.runs):
+        runs = zip(condition.seeds, condition.accuracies, condition.inertias, condition.iterations)
+        for ri, (run_seed, run_accuracy, run_inertia, run_iterations) in enumerate(runs):
             seed = derive_run_seed(master_seed, ci, ri)
             assignments, _, inertia, iterations = broadcast_kmeans(
                 data, report.k, seed=seed, max_iterations=cap
             )
-            assert (run.seed, run.inertia, run.iterations) == (seed, inertia, iterations), (ci, ri)
-            assert run.accuracy == brute_force_purity(assignments.tolist(), labels), (ci, ri)
+            assert (run_seed, run_inertia, run_iterations) == (seed, inertia, iterations), (ci, ri)
+            assert run_accuracy == brute_force_purity(assignments.tolist(), labels), (ci, ri)
 
 
 class TestBatchedRestarts:
@@ -431,6 +433,37 @@ class TestBatchedRestarts:
             offset + spread * data, min(k, n), seeds, cap, groups, extreme=scale in EXTREME_SCALES
         )
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("groups", [None, 1, 3])
+    def test_restarts_reseeding_unevenly_in_one_batch(self, d, groups):
+        # ten rows, five of them repeats, in k = 7 clusters: the starts repeat
+        # points, so in the first step the twelve restarts empty two to four
+        # clusters each, and all of them empty more in later steps
+        data = np.array([[0, 0], [0, 0], [0, 0], [1, 0], [1, 0], [5, 1], [5, 1], [9, 3], [9, 3], [2, 7]], dtype=float)
+        data, seeds = data[:, :d], list(range(12))
+        first = [kmeans(data, 7, seed=s, max_iterations=1).reseeds for s in seeds]
+        total = [kmeans(data, 7, seed=s).reseeds for s in seeds]
+        assert set(first) == {2, 3, 4}
+        assert all(t > f for t, f in zip(total, first))
+        assert_restarts_match_the_oracle(data, 7, seeds, 100, groups)
+
+    @given(
+        st.integers(2, 12),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+        st.sampled_from([None, 1, 2]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_restarts_with_k_near_n_reseed_as_alone(self, n, below, d, seeds, groups, data_seed):
+        # rows repeat a few distinct points and k is n at most three below,
+        # so the restarts of a batch empty clusters in different numbers
+        # and at different steps
+        rng = np.random.default_rng(data_seed)
+        points = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), d)).astype(float)
+        data = points[rng.integers(0, len(points), size=n)]
+        assert_restarts_match_the_oracle(data, max(1, n - below), seeds, 100, groups)
+
 
 def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):
     """_lloyd from the starts of `seeds` equals broadcast_kmeans of each seed
@@ -448,7 +481,7 @@ def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False)
         if groups is not None:
             mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * groups)
         assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
-            data, cluster._start(data, k, seeds), cap
+            data, data[cluster._start(n, k, seeds)], cap
         )
     for r, seed in enumerate(seeds):
         want = broadcast_kmeans(data, k, seed=seed, max_iterations=cap)
@@ -462,8 +495,8 @@ def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False)
 
 
 def start_rows(n, k, seeds):
-    """The rows _start picks for each seed, read from a matrix whose row i holds i."""
-    return cluster._start(np.arange(n, dtype=float)[:, None], k, seeds)[:, :, 0].astype(np.intp)
+    """The rows _start picks for each seed."""
+    return cluster._start(n, k, seeds)
 
 
 # SeedSequence hashes a seed's 32-bit words: one word below 2**32, two
@@ -477,6 +510,28 @@ def choice_sizes(draw):
     # n // 50 rows (201 at n = 10001) come from a tail shuffle of arange(n)
     n = draw(st.one_of(st.integers(1, 40), st.integers(10001, 10040)))
     return n, draw(st.integers(1, min(n, 300)))
+
+
+# rows of np.random.default_rng(seed).choice(n, k, replace=False) in
+# numpy 2.4, pinned so that report bytes cannot move with numpy; a
+# tail shuffle (n > 10000, k > n // 50) is pinned by its first six
+# rows and the sum of all k
+PINNED_ROWS = [
+    (0, 10, 3, [5, 9, 6]),
+    (1, 10, 3, [4, 3, 7]),
+    (2**32 - 1, 10, 3, [7, 2, 1]),
+    (2**32, 10, 3, [9, 4, 8]),
+    (2**64 - 1, 10, 3, [6, 4, 9]),
+    (2**64, 10, 3, [7, 0, 4]),
+    (2**128, 10, 3, [6, 3, 5]),
+    (2**200, 10, 3, [5, 6, 7]),
+    (7, 7, 7, [2, 3, 4, 6, 0, 1, 5]),
+    (5, 1, 1, [0]),
+    (12345, 30000, 9, [6818, 6124, 23918, 20970, 20286, 29653, 23654, 19279, 9501]),
+    (3, 20000, 12, [3626, 1882, 4734, 787, 17380, 16221, 8662, 6643, 1712, 3587, 16020, 11640]),
+    (99, 10001, 200, ([1433, 6189, 7234, 3859, 6570, 5480], 1001315)),
+    (42, 10001, 201, ([3589, 9428, 3322, 1156, 3359, 9994], 1022823)),
+]
 
 
 class TestStarts:
@@ -495,26 +550,7 @@ class TestStarts:
         n, k = sizes
         assert np.array_equal(start_rows(n, k, seeds), numpy_choice(n, k, seeds))
 
-    # rows of np.random.default_rng(seed).choice(n, k, replace=False) in
-    # numpy 2.4, pinned so that report bytes cannot move with numpy; a
-    # tail shuffle (n > 10000, k > n // 50) is pinned by its first six
-    # rows and the sum of all k
-    @pytest.mark.parametrize("seed, n, k, rows", [
-        (0, 10, 3, [5, 9, 6]),
-        (1, 10, 3, [4, 3, 7]),
-        (2**32 - 1, 10, 3, [7, 2, 1]),
-        (2**32, 10, 3, [9, 4, 8]),
-        (2**64 - 1, 10, 3, [6, 4, 9]),
-        (2**64, 10, 3, [7, 0, 4]),
-        (2**128, 10, 3, [6, 3, 5]),
-        (2**200, 10, 3, [5, 6, 7]),
-        (7, 7, 7, [2, 3, 4, 6, 0, 1, 5]),
-        (5, 1, 1, [0]),
-        (12345, 30000, 9, [6818, 6124, 23918, 20970, 20286, 29653, 23654, 19279, 9501]),
-        (3, 20000, 12, [3626, 1882, 4734, 787, 17380, 16221, 8662, 6643, 1712, 3587, 16020, 11640]),
-        (99, 10001, 200, ([1433, 6189, 7234, 3859, 6570, 5480], 1001315)),
-        (42, 10001, 201, ([3589, 9428, 3322, 1156, 3359, 9994], 1022823)),
-    ])
+    @pytest.mark.parametrize("seed, n, k, rows", PINNED_ROWS)
     def test_pinned_rows(self, seed, n, k, rows):
         got = start_rows(n, k, [seed])[0]
         if k > 100:
@@ -522,6 +558,26 @@ class TestStarts:
             assert got.sum() == total
             got = got[:6]
         assert got.tolist() == rows
+
+    def test_a_shared_draw_across_chunks_is_the_pinned_table(self, monkeypatch):
+        # the eight seeds pinned at n = 10, k = 3, drawn three to a chunk
+        pinned = [(seed, rows) for seed, n, k, rows in PINNED_ROWS if (n, k) == (10, 3)]
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 3 * 3)
+        assert start_rows(10, 3, [seed for seed, _ in pinned]).tolist() == [rows for _, rows in pinned]
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), min_size=1, max_size=7),
+        choice_sizes(),
+        st.integers(1, 3),
+    )
+    @example(seeds=EDGE_SEEDS, sizes=(10001, 201), per=3)
+    def test_chunked_draws_are_numpys_choice(self, seeds, sizes, per):
+        # per: seeds one chunk draws, from the rows a seed holds while drawing
+        # (all n of them in a tail shuffle, else its k picks)
+        n, k = sizes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster, "_BLOCK_BYTES", 8 * (n if n > 10000 and k > n // 50 else k) * per)
+            assert np.array_equal(start_rows(n, k, seeds), numpy_choice(n, k, seeds))
 
     # seeds whose draws hit Lemire's rejection: Floyd's second draw at
     # n = 2**22 + 1 redraws for about 1 seed in 1000 (seeds 2291 and
@@ -566,6 +622,25 @@ class TestComplexRealBridge:
             b = kmeans(as_real, 4, seed=seed)
             assert np.array_equal(a.assignments, b.assignments)
             assert a.inertia == b.inertia
+
+
+@st.composite
+def count_stacks(draw):
+    """An int64 (T, labels, clusters) stack with labels <= clusters <= 9:
+    counts up to 1, 3 or 10**12 by table, so ties are common; some tables
+    are all zero, and some repeat their first row."""
+    clusters = draw(st.integers(1, 9))
+    labels = draw(st.integers(1, clusters))
+    kinds = draw(st.lists(st.sampled_from(["drawn", "zero", "tied"]), min_size=1, max_size=50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = rng.choice([1, 3, 10**12], size=(len(kinds), 1, 1))
+    stack = rng.integers(0, high + 1, size=(len(kinds), labels, clusters), dtype=np.int64)
+    for table, kind in zip(stack, kinds):
+        if kind == "zero":
+            table[:] = 0
+        elif kind == "tied":
+            table[:] = table[0]
+    return stack
 
 
 class TestPurity:
@@ -633,6 +708,26 @@ class TestPurity:
         relabelled = [perm[a] for a in assignments]
         assert purity_accuracy(relabelled, labels) == brute_force_purity(relabelled, labels) == want
 
+    @given(count_stacks(), st.sampled_from([None, 1, 2, 7]))
+    # 3 x 3 tables whose augmenting paths take 1, 1, 1 / 1, 2, 2 / 1, 2, 3
+    # steps for their three rows, side by side with an all-zero table
+    @example(
+        stack=np.array([
+            [[5, 0, 0], [0, 5, 0], [0, 0, 5]],
+            [[5, 4, 0], [5, 0, 3], [5, 1, 1]],
+            [[9, 8, 7], [9, 8, 1], [9, 2, 1]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        ]),
+        per=None,
+    )
+    def test_lockstep_matchings_equal_the_reference(self, stack, per):
+        # per: tables one block holds (None: the default block)
+        want = [reference_max_matching(table.tolist()) for table in stack]
+        with pytest.MonkeyPatch.context() as mp:
+            if per is not None:
+                mp.setattr(cluster, "_BLOCK_BYTES", 8 * stack.shape[1] * stack.shape[2] * per)
+            assert cluster._max_matchings(stack).tolist() == want
+
     @given(
         st.lists(st.integers(0, 2), min_size=6, max_size=30),
         st.randoms(use_true_random=False),
@@ -669,6 +764,21 @@ class TestBuckets:
     def test_every_run_lands_in_exactly_one_bucket(self, accuracies):
         got = bucket_accuracies(accuracies)
         assert sum(got.values()) == len(accuracies)
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.9, 0.5, 0.8999999999999999])),
+            max_size=50,
+        ),
+        st.booleans(),
+    )
+    @example(accuracies=[], as_array=False)
+    @example(accuracies=[], as_array=True)
+    def test_equals_the_loop_oracle(self, accuracies, as_array):
+        # NaN reaches no threshold, so it counts as below
+        if as_array:
+            accuracies = np.array(accuracies, dtype=np.float64)
+        assert bucket_accuracies(accuracies) == reference_bucket_accuracies(accuracies)
 
 
 class TestSeedDerivation:
@@ -725,6 +835,31 @@ class TestSeedDerivation:
         assert derive_run_seed(3, 1, 7) == base
 
 
+# values that repeat within a column, -0.0 beside 0.0, the smallest
+# subnormal, and a float json writes in exponent form
+REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def condition_columns(draw):
+    """A ConditionResult of up to 12 runs, its columns drawn one by one."""
+    runs = draw(st.integers(0, 12))
+
+    def column(values):
+        return tuple(draw(st.lists(values, min_size=runs, max_size=runs)))
+
+    return ConditionResult(
+        draw(st.text(max_size=6)),
+        column(st.integers(0, 2**64 - 1)),
+        column(REPORT_FLOATS),
+        column(REPORT_FLOATS),
+        column(st.integers(1, 100)),
+    )
+
+
 def tiny_labeled_dataset():
     schema = AttributeSchema.from_pairs([("x", "numeric"), ("y", "decision")])
     return Dataset(schema, ([0.0, 0.1, 10.0, 10.1], ["A", "A", "B", "B"]))
@@ -742,19 +877,19 @@ class TestRunExperiment:
             "combined",
         )
         for c in report.conditions:
-            assert len(c.runs) == 5
+            assert len(c.seeds) == len(c.accuracies) == len(c.inertias) == len(c.iterations) == 5
             assert sum(c.buckets.values()) == 5
             assert c.buckets == bucket_accuracies(c.accuracies)
-            for run in c.runs:
-                assert 0.0 <= run.accuracy <= 1.0
-                assert run.inertia >= 0.0
-                assert run.iterations >= 1
+            for accuracy, inertia, iterations in zip(c.accuracies, c.inertias, c.iterations):
+                assert 0.0 <= accuracy <= 1.0
+                assert inertia >= 0.0
+                assert iterations >= 1
 
     def test_run_seeds_follow_the_derivation(self, cars):
         report = run_experiment(cars, repeats=3, master_seed=9)
         for ci, c in enumerate(report.conditions):
-            for ri, run in enumerate(c.runs):
-                assert run.seed == derive_run_seed(9, ci, ri)
+            for ri, seed in enumerate(c.seeds):
+                assert seed == derive_run_seed(9, ci, ri)
 
     def test_json_is_byte_identical_across_runs(self, cars):
         a = run_experiment(cars, repeats=4, master_seed=1).to_json()
@@ -773,19 +908,20 @@ class TestRunExperiment:
         assert report.to_json() == reference_report_json(report)
 
     def test_json_writer_edge_values_and_empty_lists(self):
-        runs = (
-            RunRecord(2**64 - 1, 1.0, 5e-324, 1),
-            RunRecord(0, 0.1 + 0.2, 1e16, 100),
-            RunRecord(3, 1 / 3, -0.0, 7),
-        )
-        conditions = (ConditionResult('odd "name" \\ \u00e9\n', runs), ConditionResult("none", ()))
+        runs = ((2**64 - 1, 0, 3), (1.0, 0.1 + 0.2, 1 / 3), (5e-324, 1e16, -0.0), (1, 100, 7))
+        conditions = (ConditionResult('odd "name" \\ \u00e9\n', *runs), ConditionResult("none", (), (), (), ()))
         for report in (ExperimentReport(3, 3, 2, conditions), ExperimentReport(0, 1, 1, ())):
             assert report.to_json() == reference_report_json(report)
 
+    @given(st.lists(condition_columns(), max_size=4), st.integers(0, 2**64 - 1), st.integers(1, 3))
+    def test_json_writer_reads_any_columns_as_json_dumps_does(self, conditions, master_seed, k):
+        report = ExperimentReport(master_seed, 12, k, tuple(conditions))
+        assert report.to_json() == reference_report_json(report)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_writer_refuses_non_finite_numbers(self, bad):
-        for run in (RunRecord(1, bad, 1.0, 1), RunRecord(1, 0.5, bad, 1)):
-            report = ExperimentReport(0, 1, 2, (ConditionResult("c", (run,)),))
+        for accuracy, inertia in ((bad, 1.0), (0.5, bad)):
+            report = ExperimentReport(0, 1, 2, (ConditionResult("c", (1,), (accuracy,), (inertia,), (1,)),))
             with pytest.raises(ValueError, match="cannot be written as a JSON number"):
                 report.to_json()
 
@@ -811,8 +947,8 @@ class TestRunExperiment:
         )
 
     def test_table_widens_a_column_for_a_six_digit_count(self):
-        runs = (RunRecord(0, 0.95, 1.0, 1),) * 100000 + (RunRecord(1, 0.4, 1.0, 1),)
-        table = ExperimentReport(0, 100001, 2, (ConditionResult("adhoc", runs),)).render_table()
+        runs = ((0,) * 100000 + (1,), (0.95,) * 100000 + (0.4,), (1.0,) * 100001, (1,) * 100001)
+        table = ExperimentReport(0, 100001, 2, (ConditionResult("adhoc", *runs),)).render_table()
         _, header, dashes, row = table.splitlines()
         assert len(header) == len(dashes) == len(row)
         assert header == "Condition                        >=90%  >=80%  >=70%  >=60%  >=50%   <50%"
@@ -838,7 +974,7 @@ class TestRunExperiment:
             tiny_labeled_dataset(), conditions=[EncodeMode.NUMERIC], repeats=1
         )
         assert report.k == 2
-        assert report.conditions[0].runs[0].accuracy == 1.0
+        assert report.conditions[0].accuracies[0] == 1.0
 
     def test_needs_a_decision_column(self):
         schema = AttributeSchema.from_pairs([("x", "numeric")])
