@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for usage errors (bad flags or arguments),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -85,6 +86,7 @@ def _conditions(text: str) -> list[EncodeMode]:
     return modes
 
 
+@functools.cache  # one parser per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="complexrank",

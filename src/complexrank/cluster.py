@@ -208,6 +208,8 @@ def _start(n: int, k: int, seeds: list[int]) -> np.ndarray:
     replace=False) under numpy 2.x, in that order. The seeds draw side by
     side, as many at once as keep the drawn rows within _BLOCK_BYTES.
     """
+    if n > 2**32:
+        raise ValueError(f"the random start draws 32-bit words, so from at most 2**32 rows, got {n}")
     tail = n > 10000 and k > n // 50
     per = max(1, _BLOCK_BYTES // (8 * (n if tail else k)))
     out = np.empty((len(seeds), k), dtype=np.intp)
@@ -328,46 +330,48 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     columns, span = np.empty((d, n)), max(1, _BLOCK_BYTES // (8 * d))
     for s in range(0, n, span):
         columns[:, s : s + span] = work[s : s + span].T
+    weights = np.tile(columns, R) if R > 1 else columns  # its first m n columns serve m restarts
     # the screen takes one matrix product per block of rows over all live
     # restarts; rows are the outer axis, so a block is one contiguous slice
     sq = np.einsum("nd,nd->n", work, work)
     x_max = math.sqrt(sq.max())  # inf if a squared norm overflows
     block = max(1, _BLOCK_BYTES // max(1, 8 * k * d))
     buffer = np.empty(n * R * k)
-    live = np.arange(R)
+    firsts, offsets = np.arange(0, n * R * k, k), (np.arange(R) * k)[:, None]
+    # the live restarts' centroids and last assignments stay compact; a
+    # restart's results are written back once, when it stops
+    live, cents = np.arange(R), centroids
     for step in range(max_iterations):
         m = live.size
-        cents = centroids[live]
         rows = max(1, block // m)  # one row of every live restart at least
         screen = buffer[: n * m * k].reshape(n, m, k)
-        flat = cents.reshape(m * k, d).T
+        c_sq = np.einsum("mkd,mkd->mk", cents, cents)
+        flat = (cents.reshape(m * k, d) * -2.0).T  # times a power of two, exactly
         for s in range(0, n, rows):
             np.matmul(work[s : s + rows], flat, out=screen[s : s + rows].reshape(-1, m * k))
-        c_sq = np.einsum("mkd,mkd->mk", cents, cents)
-        screen *= -2.0
         screen += sq[:, None, None]
         screen += c_sq
-        new = screen.argmin(axis=2).T  # (m, n)
+        nearest = screen.argmin(axis=2)
+        new = nearest.T  # (m, n)
         if k > 1:
             # the screen and the exact per-pair einsum each lie within
             # 2 gamma_(d+3) (|x| + |c|)^2 of the true squared distance, in
             # any summation order, plus what underflow (to subnormals or to
-            # zero) loses; a gap above twice err makes the screen's argmin
-            # the strict minimum of the exact distances. That holds only where
-            # nothing overflowed; every screened term is below r^2 in modulus
-            # (|2 x.c| by half), so 2 r^2 overflows wherever one of them
-            # could, err is then inf and every pair is unsure. A NaN gap is
-            # unsure too, hence the negated test
+            # zero) loses; a gap above twice err to every other centroid
+            # makes the screen's argmin the strict minimum of the exact
+            # distances. That holds only where nothing overflowed; every
+            # screened term is below r^2 in modulus (|2 x.c| by half), so
+            # 2 r^2 overflows wherever one of them could, err is then inf and
+            # every pair is unsure, as is a NaN (inf - inf), which is never far
             r = x_max + math.sqrt(c_sq.max())
             err = 2 * (d + 4) * (2 * r * r * 2.0**-52 + 2.0**-1020)
-            screen.partition(1, axis=2)  # in place: the two smallest of each pair first
-            pts, at = np.nonzero(~(screen[:, :, 1] - screen[:, :, 0] > 2 * err))
+            screen -= buffer[firsts[: n * m] + nearest.ravel()].reshape(n, m, 1)
+            far = np.einsum("nmk->nm", screen > 2 * err, dtype=np.intp)  # intp: k may pass 255
+            pts, at = np.nonzero(far != k - 1)
             if pts.size:
                 new[at, pts] = _exact_d2(work, pts, cents, at, block).argmin(axis=1)
-        iterations[live] += 1
 
-        offsets = (np.arange(m) * k)[:, None]
-        sizes = np.bincount((new + offsets).ravel(), minlength=m * k).reshape(m, k)
+        sizes = np.bincount((new + offsets[:m]).ravel(), minlength=m * k).reshape(m, k)
         empty = np.flatnonzero((sizes == 0).any(axis=1))
         if empty.size:
             # the farthest-point reseed reads exact distances of every row
@@ -381,8 +385,8 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
                 # each restart with cluster c empty restarts it on its farthest
                 # point whose own cluster can spare it, ties to the lowest row
                 at = np.flatnonzero(sizes[empty, c] == 0)
-                counts = np.bincount((own[at] + (np.arange(at.size) * k)[:, None]).ravel(), minlength=at.size * k)
-                eligible = np.take_along_axis(counts.reshape(-1, k), own[at], axis=1) > 1
+                key = own[at] + offsets[: at.size]
+                eligible = np.bincount(key.ravel(), minlength=at.size * k)[key] > 1
                 p = np.argmax(np.where(eligible, point_d2[at], -np.inf), axis=1)
                 own[at, p] = c
                 cents[empty[at], c] = work[p]
@@ -391,23 +395,24 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
 
         # a restart whose assignments repeat stops with its centroids as
         # they stand, reseeds included; the others move to their means
-        done = (new == assignments[live]).all(axis=1) if step else np.zeros(m, dtype=bool)
-        converged[live[done]] = True
-        centroids[live[done]] = cents[done]
-        moving = ~done
-        live, new, cents = live[moving], new[moving], cents[moving]
-        m = live.size
-        if not m:
-            break
-        assignments[live] = new
+        if step and (done := (new == last).all(axis=1)).any():
+            stop, moving = live[done], ~done
+            centroids[stop], assignments[stop] = cents[done], new[done]
+            iterations[stop], converged[stop] = step + 1, True
+            live, new, cents = live[moving], new[moving], cents[moving]
+            m = live.size
+            if not m:
+                break
+        last = new
         if d == 1:
             for i in range(m):
                 for c in range(k):
                     cents[i, c] = work[new[i] == c].mean(axis=0)
         else:
-            cents = _bincount_means(columns, (new + offsets[:m]).ravel(), m, k)
-        centroids[live] = cents
-    del columns  # before the inertia step, whose gathered rows are the second n x d array
+            cents = _bincount_means(weights[:, : m * n], (new + offsets[:m]).ravel(), m, k)
+    else:  # max_iterations ran out on the restarts still live
+        centroids[live], assignments[live], iterations[live] = cents, last, max_iterations
+    del columns, weights  # before the inertia step, whose gathered rows are the second n x d array
 
     diff = centroids[np.arange(R)[:, None], assignments]
     np.subtract(work, diff, out=diff)
@@ -428,18 +433,19 @@ def _exact_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarr
     return out
 
 
-def _bincount_means(columns: np.ndarray, key: np.ndarray, restarts: int, k: int) -> np.ndarray:
-    """(restarts, k, d) cluster means from the (d, n) transposed working matrix.
+def _bincount_means(weights: np.ndarray, key: np.ndarray, restarts: int, k: int) -> np.ndarray:
+    """(restarts, k, d) cluster means from the (d, n) transposed working matrix, once per restart.
 
     key holds restart * k + cluster for every (restart, row) pair,
     restart-major. Each sum adds a cluster's rows in row order, as
     mean(axis=0) does on the (rows, d) member matrix, so the bytes are
     the same for d >= 2.
     """
-    weights = columns if restarts == 1 else np.tile(columns, restarts)
-    sums = np.stack([np.bincount(key, weights=w, minlength=restarts * k) for w in weights], axis=1)
-    means = sums / np.bincount(key, minlength=restarts * k)[:, None]
-    return means.reshape(restarts, k, len(columns))
+    means = np.empty((restarts * k, len(weights)))
+    for j, w in enumerate(weights):
+        means[:, j] = np.bincount(key, weights=w, minlength=restarts * k)
+    means /= np.bincount(key, minlength=restarts * k)[:, None]
+    return means.reshape(restarts, k, len(weights))
 
 
 def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:
@@ -562,6 +568,7 @@ _CONDITION_LABELS = {
 # a condition and a run as json.dumps(indent=2) writes them inside
 # "conditions" and "runs"
 _JSON_CONDITION = '    {\n      "name": %s,\n      "runs": %s,\n      "buckets": %s\n    }'
+_JSON_BUCKETS = "{\n" + ",\n".join(f'        "{key}": %d' for key in BUCKET_KEYS) + "\n      }"
 _JSON_RUN = (
     '        {\n          "seed": %d,\n          "accuracy": %s,\n'
     '          "inertia": %s,\n          "iterations": %d\n        }'
@@ -608,7 +615,7 @@ class ExperimentReport:
                 _json_list(",\n".join([_JSON_RUN] * len(c.seeds)) % tuple(chain.from_iterable(
                     zip(c.seeds, _json_floats(c.accuracies), _json_floats(c.inertias), c.iterations)
                 )), "      "),
-                json.dumps(c.buckets, indent=2).replace("\n", "\n      "),
+                _JSON_BUCKETS % tuple(c.buckets.values()),
             )
             for c in self.conditions
         )

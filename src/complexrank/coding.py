@@ -451,7 +451,7 @@ def coded_matrix_to_json(matrix: CodedMatrix, mode: EncodeMode) -> str:
 
 
 def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
-    """The (rows, columns) complex array of the "rows" list.
+    """The (rows, columns) complex array of the "rows" list, owned and frozen.
 
     Each row holds one cell per column, and each cell is a re/im pair of
     numbers; else DataError names the row and column.
@@ -465,14 +465,20 @@ def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
     def where(i: int) -> str:
         r, c = divmod(i, width)
         return f"coded cell at row {r + 1}, column {c + 1} ({columns[c].name!r})"
-    try:
-        values = list(chain.from_iterable(map(itemgetter("re", "im"), chain.from_iterable(rows))))
-    except (KeyError, TypeError):
-        cells = enumerate(chain.from_iterable(rows))
-        i, cell = next((i, c) for i, c in cells if not isinstance(c, dict) or not {"re", "im"} <= c.keys())
-        raise DataError(f"{where(i)} is not a re/im pair: {cell!r}") from None
-    data = read_numbers(values, lambda i: f"{where(i // 2)}, {('re', 'im')[i % 2]}")
-    return data.view(np.complex128).reshape(len(rows), width)
+    data = np.empty((len(rows), width), dtype=np.complex128)
+    span = max(1, _BLOCK_BYTES // (16 * max(1, width)))
+    for lo in range(0, len(rows), span):  # a block of rows at a time: no list holds every number
+        part, first = rows[lo : lo + span], lo * width
+        try:
+            values = list(chain.from_iterable(map(itemgetter("re", "im"), chain.from_iterable(part))))
+        except (KeyError, TypeError):
+            cells = enumerate(chain.from_iterable(part))
+            i, cell = next((i, c) for i, c in cells if not isinstance(c, dict) or not {"re", "im"} <= c.keys())
+            raise DataError(f"{where(first + i)} is not a re/im pair: {cell!r}") from None
+        pairs = data[lo : lo + span].reshape(-1).view(np.float64)  # a view: each cell's re, then its im
+        pairs[:] = read_numbers(values, lambda i: f"{where(first + i // 2)}, {('re', 'im')[i % 2]}")
+    data.flags.writeable = False
+    return data
 
 
 def _require_same(stored: dict, derived: dict, where: str, prefix: str = "") -> None:

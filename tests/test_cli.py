@@ -591,6 +591,21 @@ class TestTopLevel:
         assert exc.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1] == message
 
+    def test_one_parser_serves_every_call_in_a_process(self, capsys):
+        # the parser is built once; a call's flags never leak into the next
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, ["experiment", "--conditions", "nominal", "--json"])
+        assert code == 0 and [c["name"] for c in json.loads(out)["conditions"]] == ["nominal"]
+        code, out, _ = run(capsys, ["experiment", "--json"])
+        assert code == 0 and [c["name"] for c in json.loads(out)["conditions"]] == [m.value for m in DEFAULT_CONDITIONS]
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--bogus"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "usage: complexrank [-h] command ...\ncomplexrank: error: unrecognized arguments: --bogus\n"
+        )
+        assert run(capsys, ["experiment", "--json"]) == (0, out, "")
+
     def test_entry_point_is_installed(self):
         import shutil
 

@@ -294,6 +294,50 @@ class TestBlockedDistances:
         x, c1, c2 = [1.3e154, 0.0], [0.7e154, 1e154], [0.6e154, 0.0]
         assert_matches_broadcast_oracle(np.array([x, c1, c2]), 2, initial_centroids=np.array([c1, c2]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_rows_and_starts_are_rechecked(self, four_row_blocks, seed):
+        # three points, each four times: random starts repeat a point, so
+        # rows tie exactly between two centroids and the screen trusts none
+        # of those pairs; the exact recheck sends them to the lower index
+        points = np.random.default_rng(seed).integers(-3, 4, size=(3, 4)).astype(float)
+        data = points[np.arange(12) % 3]
+        assert_matches_broadcast_oracle(data, 3, seed=seed)
+        assert_matches_broadcast_oracle(data, 3, initial_centroids=points[[0, 0, 1]])
+        first = kmeans(data, 3, initial_centroids=points[[1, 1, 2]], max_iterations=1)
+        assert set(first.assignments[np.arange(12) % 3 == 1].tolist()) == {0}
+
+    @pytest.mark.parametrize("k", [256, 257, 300])
+    def test_screen_counts_past_255_clusters(self, monkeypatch, k):
+        # the trust test counts the centroids far above each row's nearest;
+        # a count of k - 1 trusts it, so from k = 257 a byte count would wrap
+        rechecked, exact_d2 = [], cluster._exact_d2
+
+        def counting(work, pts, *args):
+            rechecked.append(pts.size)
+            return exact_d2(work, pts, *args)
+
+        monkeypatch.setattr(cluster, "_exact_d2", counting)
+        data = random_points(k, k + 40, 2, complex_valued=False)
+        assert_matches_broadcast_oracle(data, k, seed=k)
+        assert sum(rechecked) < len(data)  # a wrapped count would trust no pair of the first step
+
+    @given(
+        st.sampled_from([2, 3, 9, 257, 300]),
+        st.integers(0, 30),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 2.0**30]),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_trust_count_on_tied_rows_is_the_oracle(self, k, extra, d, data_seed, offset, seed):
+        # rows repeat integer points, so starts repeat and rows tie exactly
+        # between centroids, at any k (past 255 too); the offset puts the
+        # screen's rounding far above the integer gaps
+        rng = np.random.default_rng(data_seed)
+        points = rng.integers(-3, 4, size=(int(rng.integers(1, k + extra + 1)), d)).astype(float)
+        data = offset + points[rng.integers(0, len(points), size=k + extra)]
+        assert_matches_broadcast_oracle(data, k, seed=seed)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicate_rows_tie_exactly(self, four_row_blocks, seed):
         base = np.random.default_rng(seed).integers(-2, 3, size=(5, 4)).astype(float)
@@ -447,6 +491,21 @@ class TestBatchedRestarts:
         assert all(t > f for t, f in zip(total, first))
         assert_restarts_match_the_oracle(data, 7, seeds, 100, groups)
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("groups", [None, 2])
+    def test_restarts_stopping_at_different_steps_in_one_batch(self, cap, groups):
+        # three blobs and four clusters: within a cap of 2 or 3 some of the
+        # sixteen restarts converge, at different steps, and the others run
+        # out of iterations; each is written back once, when it stops
+        rng = np.random.default_rng(0)
+        data = np.concatenate([rng.normal(c, 0.6, size=(8, 2)) for c in ([0, 0], [4, 0], [0, 4])])
+        data, seeds = np.concatenate([data, data[:4]]), list(range(16))
+        alone = [kmeans(data, 4, seed=s, max_iterations=cap) for s in seeds]
+        assert {r.converged for r in alone} == ({False} if cap == 1 else {True, False})
+        if cap == 3:
+            assert {r.iterations for r in alone if r.converged} == {2, 3}
+        assert_restarts_match_the_oracle(data, 4, seeds, cap, groups)
+
     @given(
         st.integers(2, 12),
         st.integers(0, 3),
@@ -578,6 +637,15 @@ class TestStarts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cluster, "_BLOCK_BYTES", 8 * (n if n > 10000 and k > n // 50 else k) * per)
             assert np.array_equal(start_rows(n, k, seeds), numpy_choice(n, k, seeds))
+
+    def test_more_than_2_32_rows_are_refused_at_once(self):
+        # the draws are 32-bit: past 2**32 rows a bounded draw would redo forever
+        with pytest.raises(ValueError, match=r"at most 2\*\*32 rows, got 4294967306"):
+            start_rows(2**32 + 10, 3, [0])
+
+    def test_2_32_rows_are_numpys_choice(self):
+        seeds = [0, 1, 2**70]
+        assert np.array_equal(start_rows(2**32, 3, seeds), numpy_choice(2**32, 3, seeds))
 
     # seeds whose draws hit Lemire's rejection: Floyd's second draw at
     # n = 2**22 + 1 redraws for about 1 seed in 1000 (seeds 2291 and

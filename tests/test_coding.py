@@ -19,6 +19,7 @@ from complexrank import (
     root_of_unity,
     standardize,
 )
+from complexrank import coding
 from complexrank.coding import (
     CodedColumn,
     CodedMatrix,
@@ -396,11 +397,25 @@ class TestSerialization:
         ids=["short-row", "long-row", "null-row", "string-re", "true-re", "false-im",
              "missing-im", "list-cell", "huge-int"],
     )
-    def test_bad_cell_rejected_on_read(self, cars, edit, message):
+    @pytest.mark.parametrize("rows_per_block", [None, 3])
+    def test_bad_cell_rejected_on_read(self, monkeypatch, cars, edit, message, rows_per_block):
+        # the reader takes the cells a block of rows at a time; three-row
+        # blocks put rows 4 and 10 in later blocks
+        if rows_per_block is not None:
+            monkeypatch.setattr(coding, "_BLOCK_BYTES", 16 * 6 * rows_per_block)
         doc = coded_matrix_to_json_dict(encode_dataset(cars, EncodeMode.COMBINED))
         edit(doc["rows"])
         with pytest.raises(DataError, match=message):
             coded_matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_read_cells_are_adopted_as_written(self, monkeypatch, cars, rows_per_block):
+        if rows_per_block is not None:
+            monkeypatch.setattr(coding, "_BLOCK_BYTES", 16 * 6 * rows_per_block)
+        m = encode_dataset(cars, EncodeMode.COMBINED)
+        data = coded_matrix_from_json_dict(coded_matrix_to_json_dict(m)).data
+        assert data.flags.owndata and not data.flags.writeable
+        assert data.tobytes() == m.data.tobytes()
 
     @pytest.mark.parametrize(
         "decision, message",

@@ -1,18 +1,26 @@
-"""The two-array rule: encode, standardize and the Lloyd loop each hold at
-most two n x c complex arrays at once, plus a fixed slack; encode alone
-holds one.
+"""The two-array rule: encode, standardize, the Lloyd loop and the encode
+document's reader each hold at most two n x c complex arrays at once, plus
+a fixed slack; encode alone holds one.
 
 The peaks are traced with tracemalloc, which counts every numpy data buffer
 the package allocates, on a seeded one-hot table wide enough that one n x c
 array (20,000 x 66 complex cells, 21.1 MB) dwarfs every per-row scratch.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from complexrank import EncodeMode, encode_dataset, run_experiment, standardize
+from complexrank import (
+    EncodeMode,
+    coded_matrix_from_json_dict,
+    coded_matrix_to_json,
+    encode_dataset,
+    run_experiment,
+    standardize,
+)
 from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
 ROWS = 20_000
@@ -71,4 +79,11 @@ def test_encode_and_standardize_hold_two_arrays(wide, array_bytes):
 
 def test_an_experiment_holds_two_arrays(wide, array_bytes):
     peak = traced_peak(lambda: run_experiment(wide, [EncodeMode.ONEHOT], repeats=1))
+    assert peak <= 2 * array_bytes + SLACK
+
+
+def test_the_reader_fills_the_array_the_matrix_keeps(wide, array_bytes):
+    # the document's cells land in one array; the matrix adopts it
+    doc = json.loads(coded_matrix_to_json(encode_dataset(wide, EncodeMode.ONEHOT), EncodeMode.ONEHOT))
+    peak = traced_peak(lambda: coded_matrix_from_json_dict(doc))
     assert peak <= 2 * array_bytes + SLACK
