@@ -308,10 +308,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     cluster c reseed it side by side, c in ascending order. Returns per-restart
     assignments (R, n), centroids (R, k, d), inertia, iterations, converged and reseeds.
 
-    Each step screens the argmin with |x|^2 - 2 x.c + |c|^2 from a matrix
-    product and trusts it only where the gap to the runner-up exceeds a
-    rounding bound; the other (restart, row) pairs, and every row of a
-    restart that reseeds, get the per-pair arithmetic of one full
+    Each step screens the argmin with |x|^2 - 2 x.c + |c|^2, a (restart,
+    centroid, row) matrix product, and trusts it only where the gap to the
+    runner-up exceeds a rounding bound; the other (restart, row) pairs, and
+    every row of a restart that reseeds, get the per-pair arithmetic of one full
     n x k x d broadcast, so the results are that broadcast's bit for bit
     whatever the BLAS build or its summation order.
     """
@@ -331,45 +331,45 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     for s in range(0, n, span):
         columns[:, s : s + span] = work[s : s + span].T
     weights = np.tile(columns, R) if R > 1 else columns  # its first m n columns serve m restarts
-    # the screen takes one matrix product per block of rows over all live
-    # restarts; rows are the outer axis, so a block is one contiguous slice
+    # a block of rows is one column slice of the screen's product over all live restarts
     sq = np.einsum("nd,nd->n", work, work)
     x_max = math.sqrt(sq.max())  # inf if a squared norm overflows
     block = max(1, _BLOCK_BYTES // max(1, 8 * k * d))
-    buffer = np.empty(n * R * k)
-    firsts, offsets = np.arange(0, n * R * k, k), (np.arange(R) * k)[:, None]
+    buffer, offsets = np.empty(R * k * n), (np.arange(R) * k)[:, None]
     # the live restarts' centroids and last assignments stay compact; a
     # restart's results are written back once, when it stops
     live, cents = np.arange(R), centroids
     for step in range(max_iterations):
         m = live.size
         rows = max(1, block // m)  # one row of every live restart at least
-        screen = buffer[: n * m * k].reshape(n, m, k)
+        screen = buffer[: m * k * n].reshape(m, k, n)
         c_sq = np.einsum("mkd,mkd->mk", cents, cents)
-        flat = (cents.reshape(m * k, d) * -2.0).T  # times a power of two, exactly
+        flat = cents.reshape(m * k, d) * -2.0  # times a power of two, exactly
         for s in range(0, n, rows):
-            np.matmul(work[s : s + rows], flat, out=screen[s : s + rows].reshape(-1, m * k))
-        screen += sq[:, None, None]
-        screen += c_sq
-        nearest = screen.argmin(axis=2)
-        new = nearest.T  # (m, n)
-        if k > 1:
-            # the screen and the exact per-pair einsum each lie within
-            # 2 gamma_(d+3) (|x| + |c|)^2 of the true squared distance, in
-            # any summation order, plus what underflow (to subnormals or to
-            # zero) loses; a gap above twice err to every other centroid
-            # makes the screen's argmin the strict minimum of the exact
-            # distances. That holds only where nothing overflowed; every
-            # screened term is below r^2 in modulus (|2 x.c| by half), so
-            # 2 r^2 overflows wherever one of them could, err is then inf and
-            # every pair is unsure, as is a NaN (inf - inf), which is never far
-            r = x_max + math.sqrt(c_sq.max())
-            err = 2 * (d + 4) * (2 * r * r * 2.0**-52 + 2.0**-1020)
-            screen -= buffer[firsts[: n * m] + nearest.ravel()].reshape(n, m, 1)
-            far = np.einsum("nmk->nm", screen > 2 * err, dtype=np.intp)  # intp: k may pass 255
-            pts, at = np.nonzero(far != k - 1)
-            if pts.size:
-                new[at, pts] = _exact_d2(work, pts, cents, at, block).argmin(axis=1)
+            np.matmul(flat, work[s : s + rows].T, out=screen.reshape(m * k, n)[:, s : s + rows])
+        screen += sq
+        screen += c_sq[:, :, None]
+        nearest, new = screen[:, 0].copy(), np.zeros((m, n), dtype=np.intp)
+        for c in range(1, k):  # k - 1 passes along the rows beat one min(axis=1) at a few rows
+            np.minimum(nearest, screen[:, c], out=nearest)
+        for c in range(k - 1, 0, -1):  # the index; a tie, or a NaN left at 0, is rechecked below
+            np.copyto(new, c, where=screen[:, c] == nearest)
+        # the screen and the exact per-pair einsum each lie within
+        # 2 gamma_(d+3) (|x| + |c|)^2 of the true squared distance, in
+        # any summation order, plus what underflow (to subnormals or to
+        # zero) loses; a gap above twice err to every other centroid
+        # makes the screen's argmin the strict minimum of the exact
+        # distances. That holds only where nothing overflowed; every
+        # screened term is below r^2 in modulus (|2 x.c| by half), so
+        # 2 r^2 overflows wherever one of them could, err is then inf and
+        # every pair is unsure, as is a NaN (inf - inf), which is never far
+        r = x_max + math.sqrt(c_sq.max())
+        err = 2 * (d + 4) * (2 * r * r * 2.0**-52 + 2.0**-1020)
+        screen -= nearest[:, None]
+        far = np.add.reduce(screen > 2 * err, axis=1, dtype=np.intp)  # intp: k may pass 255
+        at, pts = np.nonzero(far != k - 1)
+        if pts.size:
+            new[at, pts] = _exact_d2(work, pts, cents, at, block).argmin(axis=1)
 
         sizes = np.bincount((new + offsets[:m]).ravel(), minlength=m * k).reshape(m, k)
         empty = np.flatnonzero((sizes == 0).any(axis=1))

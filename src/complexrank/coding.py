@@ -363,23 +363,26 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
         raise ValueError("the matrix is already standardized")
     if matrix.n_rows < 2:
         raise DataError("standardization needs at least 2 rows")
-    data, out, scaling = matrix.data, np.empty_like(matrix.data), []
+    data, out, means, sigmas = matrix.data, np.empty_like(matrix.data), [], []
     width = max(1, _BLOCK_BYTES // (16 * matrix.n_rows))
     # an overflow only ever yields a non-finite sigma, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, data.shape[1], width):
-            block = np.array(data[:, j : j + width], order="F")
-            mean, sigma = _center(block)
+            mean, sigma = _center(np.array(data[:, j : j + width], order="F"))
             for col, s in zip(matrix.columns[j : j + width], sigma):
                 # sigma is 0 for a constant column and for a subnormal spread alike
                 if s == 0.0:
                     raise DataError(f"column {col.name!r} has zero dispersion")
                 if not math.isfinite(s):
                     raise DataError(f"column {col.name!r} is too spread out: its scatter overflows")
-            np.divide(block, sigma, out=out[:, j : j + width])
-            scaling += map(ColumnScaling, matrix.column_names[j : j + width], mean, sigma)
+            means, sigmas = means + mean, sigmas + sigma
+        # the cells in row order, a block of rows at a time, each by the same subtraction and division
+        span = max(1, _BLOCK_BYTES // (16 * max(1, len(means))))
+        for r in range(0, len(out), span):
+            np.subtract(data[r : r + span], means, out=out[r : r + span])
+            np.divide(out[r : r + span], sigmas, out=out[r : r + span])
     out.flags.writeable = False  # so the new matrix adopts it: the second n x c array, not a third
-    return replace(matrix, data=out, scaling=tuple(scaling))
+    return replace(matrix, data=out, scaling=tuple(map(ColumnScaling, matrix.column_names, means, sigmas)))
 
 
 def _json_fields(matrix: CodedMatrix) -> tuple[dict, dict]:

@@ -24,6 +24,8 @@ Cell = float | str
 
 # Integer or plain decimal, optional sign. No exponents, no inf/nan.
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
+# _NUMBER's characters and newlines: within them float() reads exactly _NUMBER's forms
+_NUMBER_CHARS = re.compile(r"[\d+.\-\n]*")
 # One line: the text up to the first break that str.splitlines ends a line on.
 _LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
@@ -217,14 +219,6 @@ class Dataset:
         col = self.schema.decision_column
         return None if col is None else self.column(col.name)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.schema == other.schema and all(
-            np.array_equal(a, b) and va == vb
-            for (a, va), (b, vb) in zip(self._columns, other._columns)
-        )
-
 
 def _fits_cell(text: str) -> bool:
     """Whether parse_csv reads text back unchanged as one unquoted cell.
@@ -286,10 +280,13 @@ def parse_csv(
         cells = list(map(str.strip, flat[j - 1::width]))
         where = f"column {j} ({col.name!r})"
         if col.role is Role.NUMERIC:
-            if not all(map(_NUMBER.fullmatch, cells)):
+            try:  # one match over the column, and float() on each cell; a failure is found cell by cell
+                if not _NUMBER_CHARS.fullmatch("\n".join(cells)):
+                    raise ValueError
+                cells = list(map(float, cells))
+            except ValueError:
                 r, cell = next((r, c) for r, c in enumerate(cells, 1) if not _NUMBER.fullmatch(c))
-                raise DataError(f"row {r}, {where}: {cell!r} is not a plain decimal number")
-            cells = list(map(float, cells))
+                raise DataError(f"row {r}, {where}: {cell!r} is not a plain decimal number") from None
         elif "" in cells:
             if missing_as_category is None:
                 raise DataError(f"row {cells.index('') + 1}, {where}: empty value")

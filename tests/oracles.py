@@ -277,6 +277,15 @@ def write_csv(dataset) -> str:
     return "\n".join([",".join(names), *map(",".join, zip(*columns))]) + "\n"
 
 
+def same_dataset(a, b) -> bool:
+    """Whether two datasets have the same schema and the same cells: each
+    stored (values, vocabulary) pair compared with np.array_equal, so
+    -0.0 equals 0.0 and 1 equals 1.0."""
+    return a.schema == b.schema and all(
+        np.array_equal(x, y) and vx == vy for (x, vx), (y, vy) in zip(a._columns, b._columns)
+    )
+
+
 def reference_parse_csv(text: str, schema, *, missing_as_category: str | None = None):
     """`parse_csv` written line by line: one `split` per line, then
     `zip(*rows)` into columns.

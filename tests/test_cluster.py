@@ -294,6 +294,42 @@ class TestBlockedDistances:
         x, c1, c2 = [1.3e154, 0.0], [0.7e154, 1e154], [0.6e154, 0.0]
         assert_matches_broadcast_oracle(np.array([x, c1, c2]), 2, initial_centroids=np.array([c1, c2]))
 
+    @pytest.mark.parametrize("case", ["overflowing cross term", "exact tie"])
+    def test_unsure_pairs_of_later_restarts_across_row_blocks(self, monkeypatch, case):
+        # three restarts in one batch, the screen split into blocks of two
+        # rows; only the second and third restarts start where the screen
+        # cannot decide a row, so the pairs rechecked exactly must be taken
+        # from those restarts' rows of the (restart, row) count
+        if case == "overflowing cross term":
+            # as in test_overflowing_cross_term_is_rechecked: the screen reads
+            # x's distance to c1 as -inf, which makes err inf for the batch
+            x, c1, c2 = [1.3e154, 0.0], [0.7e154, 1e154], [0.6e154, 0.0]
+            data, first, later = np.array([x, c1, c2]), [c2, [0.3e154, 0.3e154]], [c1, c2]
+        else:
+            # the rows (0, 5) and (0, -6) lie exactly between (-1, 0) and (1, 0)
+            data = np.array([[0.0, 5], [-2, 0], [2, 0], [-1, 1], [1, -1], [0, -6], [3, 3]])
+            first, later = [[-2.0, 0], [3, 3]], [[-1.0, 0], [1, 0]]
+        starts = np.array([first, later, later[::-1]])
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 2 * 2 * 3 * 2)  # k = d = 2: two rows of 3 restarts
+        rechecked, exact_d2 = [], cluster._exact_d2
+
+        def recording(work, pts, cents, at, block):
+            rechecked.append(set(zip(at.tolist(), pts.tolist())))
+            return exact_d2(work, pts, cents, at, block)
+
+        monkeypatch.setattr(cluster, "_exact_d2", recording)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assignments, centroids, inertia, iterations, _, _ = cluster._lloyd(data, starts, 100)
+        if case == "exact tie":
+            assert rechecked[0] == {(1, 0), (1, 5), (2, 0), (2, 5)}
+        else:
+            assert rechecked[0] >= {(1, 0), (2, 0)}
+        for r, start in enumerate(starts):
+            want = broadcast_kmeans(data, 2, initial_centroids=start)
+            assert np.array_equal(assignments[r], want[0])
+            assert centroids[r].tobytes() == want[1].tobytes()
+            assert (inertia[r], iterations[r]) == (want[2], want[3])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_rows_and_starts_are_rechecked(self, four_row_blocks, seed):
         # three points, each four times: random starts repeat a point, so
