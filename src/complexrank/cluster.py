@@ -310,10 +310,15 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
 
     Each step screens the argmin with |x|^2 - 2 x.c + |c|^2, a (restart,
     centroid, row) matrix product, and trusts it only where the gap to the
-    runner-up exceeds a rounding bound; the other (restart, row) pairs, and
-    every row of a restart that reseeds, get the per-pair arithmetic of one full
-    n x k x d broadcast, so the results are that broadcast's bit for bit
-    whatever the BLAS build or its summation order.
+    runner-up exceeds a rounding bound; the other (restart, row) pairs get
+    the per-pair arithmetic of one full n x k x d broadcast, and so does
+    the distance of every row of a restart that reseeds to its own
+    centroid, so the results are that broadcast's bit for bit whatever the
+    BLAS build or its summation order. The product and the
+    centroid update read only the channels that are nonzero in some row: a
+    channel of ±0.0 cells adds exactly 0 to every x.c, and its bincount
+    mean is +0.0. The exact distances, the reseeds and the inertia read
+    every channel.
     """
     R, k, d = centroids.shape
     n = work.shape[0]
@@ -322,14 +327,20 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     iterations = np.zeros(R, dtype=np.intp)
     converged = np.zeros(R, dtype=bool)
     reseeds = np.zeros(R, dtype=np.intp)
-    # the bincount update reads each dimension as one contiguous column;
-    # for d = 1 a cluster's mean sums its contiguous column pairwise,
-    # which a bincount would not reproduce, so d = 1 keeps the mean and
-    # leaves its copy unused. The transpose is copied a block of rows at a
-    # time, which stays in cache
-    columns, span = np.empty((d, n)), max(1, _BLOCK_BYTES // (8 * d))
-    for s in range(0, n, span):
-        columns[:, s : s + span] = work[s : s + span].T
+    # the product and the bincount update read each channel as one
+    # contiguous row of a transposed copy; for d = 1 a cluster's mean sums
+    # its contiguous column pairwise, which a bincount would not reproduce,
+    # so d = 1 keeps the mean. The transpose is copied in tiles of 1/64 of
+    # a block, which stay in the first-level cache (whole blocks took about
+    # twice as long), and its nonzero channels move to the front
+    columns, tile = np.empty((d, n)), max(1, _BLOCK_BYTES // (64 * 8 * d))
+    for s in range(0, n, tile):
+        columns[:, s : s + tile] = work[s : s + tile].T
+    nz = np.flatnonzero(columns.any(axis=1))
+    for i, j in enumerate(nz):  # i <= j, so no row is overwritten before it moves
+        if i != j:
+            columns[i] = columns[j]
+    columns = columns[: nz.size]
     weights = np.tile(columns, R) if R > 1 else columns  # its first m n columns serve m restarts
     # a block of rows is one column slice of the screen's product over all live restarts
     sq = np.einsum("nd,nd->n", work, work)
@@ -344,40 +355,48 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
         rows = max(1, block // m)  # one row of every live restart at least
         screen = buffer[: m * k * n].reshape(m, k, n)
         c_sq = np.einsum("mkd,mkd->mk", cents, cents)
-        flat = cents.reshape(m * k, d) * -2.0  # times a power of two, exactly
+        flat = cents[:, :, nz].reshape(m * k, nz.size) * -2.0  # times a power of two, exactly
         for s in range(0, n, rows):
-            np.matmul(flat, work[s : s + rows].T, out=screen.reshape(m * k, n)[:, s : s + rows])
+            np.matmul(flat, columns[:, s : s + rows], out=screen.reshape(m * k, n)[:, s : s + rows])
         screen += sq
         screen += c_sq[:, :, None]
-        nearest, new = screen[:, 0].copy(), np.zeros((m, n), dtype=np.intp)
-        for c in range(1, k):  # k - 1 passes along the rows beat one min(axis=1) at a few rows
+        # k - 1 passes along the rows for the nearest and the runner-up
+        # values; a NaN reaches both
+        nearest, second, runner = screen[:, 0].copy(), np.full((m, n), np.inf), np.empty((m, n))
+        for c in range(1, k):
+            np.minimum(second, np.maximum(nearest, screen[:, c], out=runner), out=second)
             np.minimum(nearest, screen[:, c], out=nearest)
-        for c in range(k - 1, 0, -1):  # the index; a tie, or a NaN left at 0, is rechecked below
-            np.copyto(new, c, where=screen[:, c] == nearest)
+        # the index: the sum of c over the centroids equal to the nearest,
+        # in the narrowest unsigned type that holds k - 1; a tie (whose
+        # sum may wrap) or a NaN (left at 0) is rechecked below
+        index = np.min_scalar_type(k - 1).type
+        new, hit = np.zeros((m, n), dtype=index), np.empty((m, n), dtype=bool)
+        for c in range(1, k):
+            new += np.equal(screen[:, c], nearest, out=hit).view(np.uint8) * index(c)
+        new = new.astype(np.intp)
         # the screen and the exact per-pair einsum each lie within
         # 2 gamma_(d+3) (|x| + |c|)^2 of the true squared distance, in
         # any summation order, plus what underflow (to subnormals or to
-        # zero) loses; a gap above twice err to every other centroid
-        # makes the screen's argmin the strict minimum of the exact
-        # distances. That holds only where nothing overflowed; every
-        # screened term is below r^2 in modulus (|2 x.c| by half), so
-        # 2 r^2 overflows wherever one of them could, err is then inf and
-        # every pair is unsure, as is a NaN (inf - inf), which is never far
+        # zero) loses; a gap above twice err to the runner-up makes the
+        # screen's argmin the strict minimum of the exact distances. That
+        # holds only where nothing overflowed; every screened term is
+        # below r^2 in modulus (|2 x.c| by half), so 2 r^2 overflows
+        # wherever one of them could, err is then inf and every pair is
+        # unsure, as is a NaN gap (inf - inf) and an exact tie
         r = x_max + math.sqrt(c_sq.max())
         err = 2 * (d + 4) * (2 * r * r * 2.0**-52 + 2.0**-1020)
-        screen -= nearest[:, None]
-        far = np.add.reduce(screen > 2 * err, axis=1, dtype=np.intp)  # intp: k may pass 255
-        at, pts = np.nonzero(far != k - 1)
+        second -= nearest
+        at, pts = np.nonzero(~(second > 2 * err))
         if pts.size:
             new[at, pts] = _exact_d2(work, pts, cents, at, block).argmin(axis=1)
 
         sizes = np.bincount((new + offsets[:m]).ravel(), minlength=m * k).reshape(m, k)
         empty = np.flatnonzero((sizes == 0).any(axis=1))
         if empty.size:
-            # the farthest-point reseed reads exact distances of every row
-            # of every restart that emptied a cluster
+            # the farthest-point reseed reads the exact distance of every
+            # row of every restart that emptied a cluster to its own centroid
             own, pairs = new[empty], np.arange(empty.size * n)
-            point_d2 = _exact_d2(work, pairs % n, cents, empty.repeat(n), block)[pairs, own.ravel()].reshape(-1, n)
+            point_d2 = _own_d2(work, pairs % n, cents, empty.repeat(n), own.ravel(), block).reshape(-1, n)
             # a restart only takes a point from a cluster of size > 1, so it
             # never empties a cluster and the empty sets found here stay exact;
             # a point taken sits alone in its new cluster, so none is taken twice
@@ -409,12 +428,12 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
                 for c in range(k):
                     cents[i, c] = work[new[i] == c].mean(axis=0)
         else:
-            cents = _bincount_means(weights[:, : m * n], (new + offsets[:m]).ravel(), m, k)
+            cents = _bincount_means(weights[:, : m * n], nz, d, (new + offsets[:m]).ravel(), m, k)
     else:  # max_iterations ran out on the restarts still live
         centroids[live], assignments[live], iterations[live] = cents, last, max_iterations
     del columns, weights  # before the inertia step, whose gathered rows are the second n x d array
 
-    diff = centroids[np.arange(R)[:, None], assignments]
+    diff = centroids.reshape(R * k, d)[assignments + offsets]
     np.subtract(work, diff, out=diff)
     inertia = np.einsum("rnd,rnd->r", diff, diff)
     return assignments, centroids, inertia, iterations, converged, reseeds
@@ -433,19 +452,36 @@ def _exact_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarr
     return out
 
 
-def _bincount_means(weights: np.ndarray, key: np.ndarray, restarts: int, k: int) -> np.ndarray:
-    """(restarts, k, d) cluster means from the (d, n) transposed working matrix, once per restart.
+def _own_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarray, own: np.ndarray,
+            block: int) -> np.ndarray:
+    """(p,) squared distances of rows pts to centroid own of restarts at.
+
+    Column own of _exact_d2, bit for bit: each sums the same d products
+    in the same order. It reads one centroid a row, not k.
+    """
+    out = np.empty(pts.size)
+    for s in range(0, pts.size, block):
+        diff = cents[at[s : s + block], own[s : s + block]]
+        np.subtract(work[pts[s : s + block]], diff, out=diff)
+        np.einsum("pd,pd->p", diff, diff, out=out[s : s + block])
+    return out
+
+
+def _bincount_means(weights: np.ndarray, channels: np.ndarray, d: int, key: np.ndarray, restarts: int,
+                    k: int) -> np.ndarray:
+    """(restarts, k, d) cluster means from rows `channels` of the (d, n)
+    transposed working matrix, once per restart; every other channel is +0.0.
 
     key holds restart * k + cluster for every (restart, row) pair,
     restart-major. Each sum adds a cluster's rows in row order, as
     mean(axis=0) does on the (rows, d) member matrix, so the bytes are
-    the same for d >= 2.
+    the same for d >= 2; so is the +0.0 of a channel of ±0.0 cells.
     """
-    means = np.empty((restarts * k, len(weights)))
-    for j, w in enumerate(weights):
+    means = np.zeros((restarts * k, d))
+    for j, w in zip(channels, weights):
         means[:, j] = np.bincount(key, weights=w, minlength=restarts * k)
     means /= np.bincount(key, minlength=restarts * k)[:, None]
-    return means.reshape(restarts, k, len(weights))
+    return means.reshape(restarts, k, d)
 
 
 def purity_accuracy(assignments: Sequence[int], labels: Sequence[str]) -> float:

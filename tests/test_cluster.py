@@ -253,14 +253,34 @@ def assert_matches_broadcast_oracle(data, k, **kwargs):
 # steps apart), and ones that all underflow to 0
 EXTREME_SCALES = [(1e154, 1e150), (0.0, 1e-160), (0.0, 1e-161), (0.0, 1e-300)]
 
+# k=3 centroids of d=4 real coordinates: 96 bytes of scratch per row
+FOUR_ROW_BLOCKS = 4 * 8 * 3 * 4
+
+
+def assert_matches_the_oracle_in_any_blocks(data, k, **kwargs):
+    """assert_matches_broadcast_oracle with the default blocks and with four-row blocks."""
+    for block_bytes in (None, FOUR_ROW_BLOCKS):
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(cluster, "_BLOCK_BYTES", block_bytes)
+            assert_matches_broadcast_oracle(data, k, **kwargs)
+
+
+def with_zero_channels(data, zero, rng):
+    """data with the channels `zero` of its real view set to cells of ±0.0."""
+    data = data.copy()
+    real = data.view(np.float64)
+    zero = np.asarray(zero, dtype=bool)
+    real[:, zero] = rng.choice([0.0, -0.0], size=(len(real), int(np.count_nonzero(zero))))
+    return data
+
 
 class TestBlockedDistances:
     """Row-blocked, screened distances give the full broadcast's results bit for bit."""
 
     @pytest.fixture
     def four_row_blocks(self, monkeypatch):
-        # k=3 centroids of d=4 real coordinates: 96 bytes of scratch per row
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 4 * 8 * 3 * 4)
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", FOUR_ROW_BLOCKS)
 
     @pytest.mark.parametrize("n", [12, 13, 3])  # a multiple, one more, under one block
     @pytest.mark.parametrize("seed", range(4))
@@ -344,8 +364,8 @@ class TestBlockedDistances:
 
     @pytest.mark.parametrize("k", [256, 257, 300])
     def test_screen_counts_past_255_clusters(self, monkeypatch, k):
-        # the trust test counts the centroids far above each row's nearest;
-        # a count of k - 1 trusts it, so from k = 257 a byte count would wrap
+        # the trust test must see every centroid past the 256th: a byte
+        # count of far centroids, for one, wraps from k = 257 and trusts no pair
         rechecked, exact_d2 = [], cluster._exact_d2
 
         def counting(work, pts, *args):
@@ -355,7 +375,14 @@ class TestBlockedDistances:
         monkeypatch.setattr(cluster, "_exact_d2", counting)
         data = random_points(k, k + 40, 2, complex_valued=False)
         assert_matches_broadcast_oracle(data, k, seed=k)
-        assert sum(rechecked) < len(data)  # a wrapped count would trust no pair of the first step
+        assert sum(rechecked) < len(data)  # most pairs of the first step are trusted
+
+    def test_screen_index_sums_that_wrap_are_rechecked(self):
+        # forty starts at one point: the screened index of every row sums
+        # 1 + ... + 39 = 780, which wraps in the byte that holds it, and
+        # every such pair is a tie, so the exact recheck overwrites it
+        data = random_points(40, 60, 3, complex_valued=False)
+        assert_matches_broadcast_oracle(data, 40, initial_centroids=np.repeat(data[:1], 40, axis=0))
 
     @given(
         st.sampled_from([2, 3, 9, 257, 300]),
@@ -373,6 +400,90 @@ class TestBlockedDistances:
         points = rng.integers(-3, 4, size=(int(rng.integers(1, k + extra + 1)), d)).astype(float)
         data = offset + points[rng.integers(0, len(points), size=k + extra)]
         assert_matches_broadcast_oracle(data, k, seed=seed)
+
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=8),
+        st.booleans(),
+        st.integers(2, 24),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_zero_channels_match_the_oracle(self, zero, complex_valued, n, k, grid, data_seed, seed):
+        # channels of only ±0.0 anywhere among the others (first, last, between,
+        # or all), in real data or in the interleaved view of complex data; on
+        # a grid of small integers rows and starts repeat, so rows tie and
+        # clusters empty
+        rng = np.random.default_rng(data_seed)
+        if complex_valued:  # an even number of channels, re and im of each column
+            zero += zero[-1:] * (len(zero) % 2)
+        shape = (n, len(zero))
+        data = rng.integers(-2, 3, size=shape).astype(float) if grid else rng.normal(size=shape)
+        if complex_valued:
+            data = data.view(np.complex128)
+        assert_matches_the_oracle_in_any_blocks(with_zero_channels(data, zero, rng), min(k, n), seed=seed)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_zero_channels_in_all_zero_data(self, complex_valued):
+        # every row is the origin: every distance ties, and with k > 1 the
+        # start's equal centroids leave clusters empty, which reseed
+        data = with_zero_channels(np.zeros((9, 4)), [True] * 4, np.random.default_rng(3))
+        if complex_valued:
+            data = data.view(np.complex128)
+        for k in (1, 2, 3):
+            assert_matches_the_oracle_in_any_blocks(data, k, seed=k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_channels_around_a_single_nonzero_channel(self, seed):
+        data = np.zeros((15, 5))
+        data[:, 2] = random_points(seed, 15, 1, complex_valued=False)[:, 0]
+        data = with_zero_channels(data, np.arange(5) != 2, np.random.default_rng(seed))
+        assert_matches_the_oracle_in_any_blocks(data, 3, seed=seed)
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_zero_channels_with_one_channel(self, zero):
+        # d = 1 keeps numpy's mean; a zero channel leaves the product nothing to read
+        data = random_points(7, 11, 1, complex_valued=False)
+        if zero:
+            data = with_zero_channels(data, [True], np.random.default_rng(7))
+        for k in (1, 3):
+            assert_matches_the_oracle_in_any_blocks(data, k, seed=k)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_zero_channels_under_centroids_that_start_off_them(self, complex_valued):
+        # the starts are nonzero in the data's zero channels (the imaginary
+        # ones of complex data), which the screen reads only through |c|^2
+        data = random_points(6, 20, 2, complex_valued=False)
+        init = np.array([[0.5, 4.0], [-0.5, -3.0], [0.0, 1e-3]])
+        if complex_valued:
+            data, init = data.astype(complex), init + 1j * np.array([[2.0, 0.0], [-1.0, 0.5], [0.0, -7.0]])
+        else:
+            data[:, 1], init[:, 1] = 0.0, [4.0, -3.0, 1e-3]
+        assert_matches_the_oracle_in_any_blocks(data, 3, initial_centroids=init)
+
+    def test_zero_channels_in_a_reseeding_batch(self):
+        # one-hot rows of two blocks (widths 3 and 4) as complex cells of im 0,
+        # so half the fourteen channels are zero; the random starts repeat
+        # rows, so restarts of one batch empty clusters and reseed
+        rng = np.random.default_rng(0)
+        n, k, seeds = 40, 5, list(range(6))
+        hot = np.zeros((n, 7), dtype=complex)
+        hot[np.arange(n), rng.integers(0, 3, n)] = 1
+        hot[np.arange(n), 3 + rng.integers(0, 4, n)] = 1
+        work = hot.view(np.float64)
+        for block_bytes in (None, FOUR_ROW_BLOCKS):
+            with pytest.MonkeyPatch.context() as mp:
+                if block_bytes is not None:
+                    mp.setattr(cluster, "_BLOCK_BYTES", block_bytes)
+                assignments, centroids, inertia, iterations, _, reseeds = cluster._lloyd(
+                    work, work[cluster._start(n, k, seeds)], 100)
+            assert reseeds.any()
+            for r, seed in enumerate(seeds):
+                want = broadcast_kmeans(hot, k, seed=seed)
+                assert np.array_equal(assignments[r], want[0])
+                assert centroids[r].tobytes() == want[1].tobytes()
+                assert (inertia[r], iterations[r]) == (want[2], want[3])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicate_rows_tie_exactly(self, four_row_blocks, seed):
@@ -558,6 +669,27 @@ class TestBatchedRestarts:
         points = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), d)).astype(float)
         data = points[rng.integers(0, len(points), size=n)]
         assert_restarts_match_the_oracle(data, max(1, n - below), seeds, 100, groups)
+
+    @given(
+        st.integers(1, 30),
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.integers(1, 4),
+        st.sampled_from([1, 3, 1 << 20]),
+        st.sampled_from([1e-160, 1.0, 1e155]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_reseed_distances_are_a_column_of_the_exact_ones(self, n, k, d, restarts, block, scale, data_seed):
+        # the farthest-point reseed reads each row's distance to its own
+        # centroid alone; from eight channels on, a pairwise sum of the
+        # squares would give other bytes than the broadcast's einsum
+        rng = np.random.default_rng(data_seed)
+        work, cents = rng.normal(size=(n, d)) * scale, rng.normal(size=(restarts, k, d)) * scale
+        at, pts = np.arange(restarts).repeat(n), np.tile(np.arange(n), restarts)
+        own = rng.integers(0, k, size=pts.size)
+        with np.errstate(over="ignore", under="ignore"):
+            want = cluster._exact_d2(work, pts, cents, at, block)[np.arange(pts.size), own]
+            assert cluster._own_d2(work, pts, cents, at, own, block).tobytes() == want.tobytes()
 
 
 def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):

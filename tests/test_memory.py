@@ -25,9 +25,9 @@ from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
 ROWS = 20_000
 CARDINALITIES = (8, 16, 40)
-# slack over two n x c arrays: standardize's column block of at most 2 MiB,
-# its two 1 MiB squares and per-row scratch (the k-means distance scratch
-# is smaller on this table)
+# slack over the n x c arrays: standardize's two squares of at most 1 MiB
+# each and per-row scratch (the k-means distance scratch is smaller on
+# this table)
 SLACK = 6 << 20
 
 
@@ -75,6 +75,14 @@ def test_encode_writes_into_the_array_the_matrix_keeps(wide, array_bytes):
 def test_encode_and_standardize_hold_two_arrays(wide, array_bytes):
     peak = traced_peak(lambda: standardize(encode_dataset(wide, EncodeMode.ONEHOT)))
     assert peak <= 2 * array_bytes + SLACK
+
+
+def test_standardize_holds_only_its_output(wide, array_bytes):
+    # the columns standardize takes its means and sigmas from are a
+    # transposed copy in the output's own buffer, not a second array
+    matrix = encode_dataset(wide, EncodeMode.ONEHOT)
+    peak = traced_peak(lambda: standardize(matrix))
+    assert peak <= array_bytes + SLACK
 
 
 def test_an_experiment_holds_two_arrays(wide, array_bytes):
