@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import _BLOCK_BYTES, CodedMatrix, EncodeMode, encode_dataset, standardize
+from .coding import CodedMatrix, EncodeMode, _spans, _transpose_into, encode_dataset, standardize
 from .dataset import DataError, Dataset, factorize
 from .space import real_expansion
 
@@ -29,12 +29,6 @@ SEED_NOTE = "splitmix64 chain over (master_seed, condition_index, run_index)"
 
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
-
-# _BLOCK_BYTES counts a block of (restart, row) pairs as their n x k x d
-# broadcast. It bounds each exact chunk's scratch and each screening matrix
-# product: one product over all 30,000 rows of a benchmark table made OpenBLAS
-# allocate thread buffers (7-9 MB more peak RSS). Small enough to stay in
-# cache, large enough to amortize the calls.
 
 _MAX_ITERATIONS = 100
 _UNREACHED = 1 << 62  # a slack above any reduced cost of a count table
@@ -206,15 +200,14 @@ def _start(n: int, k: int, seeds: list[int]) -> np.ndarray:
 
     Seed s picks the rows of np.random.default_rng(s).choice(n, k,
     replace=False) under numpy 2.x, in that order. The seeds draw side by
-    side, as many at once as keep the drawn rows within _BLOCK_BYTES.
+    side, as many at once as one block holds of the drawn rows (_spans).
     """
     if n > 2**32:
         raise ValueError(f"the random start draws 32-bit words, so from at most 2**32 rows, got {n}")
     tail = n > 10000 and k > n // 50
-    per = max(1, _BLOCK_BYTES // (8 * (n if tail else k)))
     out = np.empty((len(seeds), k), dtype=np.intp)
-    for lo in range(0, len(seeds), per):
-        rng = _PCG64(seeds[lo : lo + per])
+    for s in _spans(len(seeds), 8 * (n if tail else k)):
+        rng = _PCG64(seeds[s])
         at = rng.every
         if tail:
             # numpy shuffles the tail of arange(n); its last k entries are the rows
@@ -229,7 +222,7 @@ def _start(n: int, k: int, seeds: list[int]) -> np.ndarray:
         for i in range(rows.shape[1] - 1, first - 1, -1):  # Fisher-Yates, from the end
             j = rng.bounded(i)
             rows[at, i], rows[at, j] = rows[at, j], rows[at, i]
-        out[lo : lo + per] = rows[:, -k:]
+        out[s] = rows[:, -k:]
     return out
 
 
@@ -310,15 +303,16 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
 
     Each step screens the argmin with |x|^2 - 2 x.c + |c|^2, a (restart,
     centroid, row) matrix product, and trusts it only where the gap to the
-    runner-up exceeds a rounding bound; the other (restart, row) pairs get
-    the per-pair arithmetic of one full n x k x d broadcast, and so does
-    the distance of every row of a restart that reseeds to its own
-    centroid, so the results are that broadcast's bit for bit whatever the
+    runner-up exceeds a rounding bound; the other (restart, row) pairs, and
+    every row of a restart that reseeds against its own centroid, go
+    through _exact_d2, the per-pair arithmetic of one full n x k x d
+    broadcast, so the results are that broadcast's bit for bit whatever the
     BLAS build or its summation order. The product and the
     centroid update read only the channels that are nonzero in some row: a
     channel of ±0.0 cells adds exactly 0 to every x.c, and its bincount
     mean is +0.0. The exact distances, the reseeds and the inertia read
-    every channel.
+    every channel. Every pass over rows runs in _spans blocks of (restart,
+    row) pairs, each counted as its k x d broadcast; d = 0 is a valid shape.
     """
     R, k, d = centroids.shape
     n = work.shape[0]
@@ -328,14 +322,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     converged = np.zeros(R, dtype=bool)
     reseeds = np.zeros(R, dtype=np.intp)
     # the product and the bincount update read each channel as one
-    # contiguous row of a transposed copy; for d = 1 a cluster's mean sums
-    # its contiguous column pairwise, which a bincount would not reproduce,
-    # so d = 1 keeps the mean. The transpose is copied in tiles of 1/64 of
-    # a block, which stay in the first-level cache (whole blocks took about
-    # twice as long), and its nonzero channels move to the front
-    columns, tile = np.empty((d, n)), max(1, _BLOCK_BYTES // (64 * 8 * d))
-    for s in range(0, n, tile):
-        columns[:, s : s + tile] = work[s : s + tile].T
+    # contiguous row of a transposed copy, its nonzero channels at the
+    # front; for d = 1 a cluster's mean sums its contiguous column pairwise,
+    # which a bincount would not reproduce, so d = 1 keeps the mean
+    columns = _transpose_into(np.empty((d, n)), work)
     nz = np.flatnonzero(columns.any(axis=1))
     for i, j in enumerate(nz):  # i <= j, so no row is overwritten before it moves
         if i != j:
@@ -345,19 +335,18 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     # a block of rows is one column slice of the screen's product over all live restarts
     sq = np.einsum("nd,nd->n", work, work)
     x_max = math.sqrt(sq.max())  # inf if a squared norm overflows
-    block = max(1, _BLOCK_BYTES // max(1, 8 * k * d))
+    pair_bytes = 8 * k * d
     buffer, offsets = np.empty(R * k * n), (np.arange(R) * k)[:, None]
     # the live restarts' centroids and last assignments stay compact; a
     # restart's results are written back once, when it stops
     live, cents = np.arange(R), centroids
     for step in range(max_iterations):
         m = live.size
-        rows = max(1, block // m)  # one row of every live restart at least
         screen = buffer[: m * k * n].reshape(m, k, n)
         c_sq = np.einsum("mkd,mkd->mk", cents, cents)
         flat = cents[:, :, nz].reshape(m * k, nz.size) * -2.0  # times a power of two, exactly
-        for s in range(0, n, rows):
-            np.matmul(flat, columns[:, s : s + rows], out=screen.reshape(m * k, n)[:, s : s + rows])
+        for s in _spans(n, pair_bytes * m):  # one row of every live restart at least
+            np.matmul(flat, columns[:, s], out=screen.reshape(m * k, n)[:, s])
         screen += sq
         screen += c_sq[:, :, None]
         # k - 1 passes along the rows for the nearest and the runner-up
@@ -388,15 +377,17 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
         second -= nearest
         at, pts = np.nonzero(~(second > 2 * err))
         if pts.size:
-            new[at, pts] = _exact_d2(work, pts, cents, at, block).argmin(axis=1)
+            new[at, pts] = _exact_d2(work, pts, cents, at, pair_bytes).argmin(axis=1)
 
         sizes = np.bincount((new + offsets[:m]).ravel(), minlength=m * k).reshape(m, k)
         empty = np.flatnonzero((sizes == 0).any(axis=1))
         if empty.size:
             # the farthest-point reseed reads the exact distance of every
-            # row of every restart that emptied a cluster to its own centroid
+            # row of every restart that emptied a cluster to its own centroid,
+            # restart * k + own of the (m k, 1, d) view, in a recheck's chunks
             own, pairs = new[empty], np.arange(empty.size * n)
-            point_d2 = _own_d2(work, pairs % n, cents, empty.repeat(n), own.ravel(), block).reshape(-1, n)
+            keys = (own + (empty * k)[:, None]).ravel()
+            point_d2 = _exact_d2(work, pairs % n, cents.reshape(m * k, 1, d), keys, pair_bytes).reshape(-1, n)
             # a restart only takes a point from a cluster of size > 1, so it
             # never empties a cluster and the empty sets found here stay exact;
             # a point taken sits alone in its new cluster, so none is taken twice
@@ -439,31 +430,18 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     return assignments, centroids, inertia, iterations, converged, reseeds
 
 
-def _exact_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarray, block: int) -> np.ndarray:
+def _exact_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarray, pair_bytes: int) -> np.ndarray:
     """(p, k) squared distances of rows pts to the k centroids of restarts at.
 
     The per-pair arithmetic of one full n x k x d broadcast, bit for bit,
-    in chunks of `block` pairs.
+    in _spans chunks of pairs of pair_bytes each. Column c sums the same d
+    products in the same order as a (k', 1, d) view's call on centroid c alone.
     """
     out = np.empty((pts.size, cents.shape[1]))
-    for s in range(0, pts.size, block):
-        diff = work[pts[s : s + block], None, :] - cents[at[s : s + block]]
-        np.einsum("pkd,pkd->pk", diff, diff, out=out[s : s + block])
-    return out
-
-
-def _own_d2(work: np.ndarray, pts: np.ndarray, cents: np.ndarray, at: np.ndarray, own: np.ndarray,
-            block: int) -> np.ndarray:
-    """(p,) squared distances of rows pts to centroid own of restarts at.
-
-    Column own of _exact_d2, bit for bit: each sums the same d products
-    in the same order. It reads one centroid a row, not k.
-    """
-    out = np.empty(pts.size)
-    for s in range(0, pts.size, block):
-        diff = cents[at[s : s + block], own[s : s + block]]
-        np.subtract(work[pts[s : s + block]], diff, out=diff)
-        np.einsum("pd,pd->p", diff, diff, out=out[s : s + block])
+    for s in _spans(pts.size, pair_bytes):
+        diff = cents[at[s]]
+        np.subtract(work[pts[s], None, :], diff, out=diff)
+        np.einsum("pkd,pkd->pk", diff, diff, out=out[s])
     return out
 
 
@@ -519,14 +497,13 @@ def _max_matchings(tables: np.ndarray) -> np.ndarray:
 
     The Hungarian method with shortest augmenting paths (Kuhn 1955; Jonker
     and Volgenant 1987) in O(rows^2 * columns) steps, on as many tables at
-    once as _BLOCK_BYTES holds: a table whose path has ended takes zero
+    once as one block holds (_spans): a table whose path has ended takes zero
     steps until the others' end. On int64, so each optimum is exact.
     """
     T, L, C = tables.shape
     out = np.empty(T, dtype=np.int64)
-    per = max(1, _BLOCK_BYTES // (8 * L * C))
-    for lo in range(0, T, per):
-        weights = tables[lo : lo + per].reshape(-1, C)
+    for s in _spans(T, 8 * L * C):
+        weights = tables[s].reshape(-1, C)
         t = len(weights) // L
         first = np.arange(t) * L - 1  # row r (1-based) of table i is weights[first[i] + r]
         base = np.arange(t) * (C + 1)  # column j of table i is at base[i] + j of a raveled (t, C + 1) array
@@ -562,7 +539,7 @@ def _max_matchings(tables: np.ndarray) -> np.ndarray:
                 row_pot.ravel()[at] = row_pot.ravel()[src]
                 j0 = way.ravel()[at]
         matched = owner[:, 1:]
-        out[lo : lo + per] = np.where(matched > 0, weights[first[:, None] + matched, np.arange(C)], 0).sum(axis=1)
+        out[s] = np.where(matched > 0, weights[first[:, None] + matched, np.arange(C)], 0).sum(axis=1)
     return out
 
 
@@ -728,13 +705,12 @@ def run_experiment(
     for ci, mode in enumerate(conditions):
         work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
         # restarts per batch: as many as one distance block holds, so the
-        # distance scratch and the inertia step's temporaries stay within
-        # _BLOCK_BYTES (a batch of one restart splits its rows into blocks)
-        per = max(1, _BLOCK_BYTES // (8 * k * work.shape[1]) // n)
-        for lo in range(0, repeats, per):
-            result = _lloyd(work, work[starts[ci, lo : lo + per]], _MAX_ITERATIONS)
+        # distance scratch and the inertia step's temporaries stay within a
+        # block (a batch of one restart splits its rows into blocks)
+        for s in _spans(repeats, 8 * k * work.shape[1] * n):
+            result = _lloyd(work, work[starts[ci, s]], _MAX_ITERATIONS)
             tables.append(_count_tables(result[0], label_codes, k, k))
-            inertias[ci, lo : lo + per], iterations[ci, lo : lo + per] = result[2:4]
+            inertias[ci, s], iterations[ci, s] = result[2:4]
     accuracies = _max_matchings(np.concatenate(tables)).reshape(seeds.shape) / n
     columns = [c.tolist() for c in (seeds, accuracies, inertias, iterations)]
     return ExperimentReport(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -214,22 +214,44 @@ class ColumnScaling:
     sigma: float
 
 
-# bytes per block: of columns in standardize, of (restart, row) pairs in k-means
+# bytes per block of every blocked pass; k-means counts a block of (restart,
+# row) pairs as their n x k x d broadcast. It bounds each exact chunk's
+# scratch and each screening matrix product: one product over all 30,000 rows
+# of a benchmark table made OpenBLAS allocate thread buffers (7-9 MB more peak
+# RSS). Small enough to stay in cache, large enough to amortize the calls.
 _BLOCK_BYTES = 2 << 20
+
+
+def _spans(total: int, item_bytes: int) -> Iterator[slice]:
+    """Slices covering range(total) in order, each of as many items of
+    item_bytes as one block holds, one item at least."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return map(slice, range(0, total, step), range(step, total + step, step))
+
+
+def _transpose_into(out: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Copy the (n, c) array a into the (c, n) array out as its transpose; return out.
+
+    It copies in tiles of 1/64 of a block, which stay in the first-level
+    cache: whole 2 MiB blocks took about twice as long, and one whole
+    out[...] = a.T two to four times as long.
+    """
+    for s in _spans(len(a), 64 * a.itemsize * a.shape[1]):
+        out[:, s] = a[s].T
+    return out
 
 
 def _center(columns: np.ndarray) -> tuple[list[complex], list[float]]:
     """Center the rows of a C-order complex (columns, cells) array in place,
     each one coded column; return their complex means and their real
-    population scatters sqrt(sum(|x - mean|^2) / N). It runs over blocks of
-    whole rows of at most _BLOCK_BYTES. Each row is contiguous, so numpy sums
+    population scatters sqrt(sum(|x - mean|^2) / N). It runs over the
+    _spans blocks of whole rows. Each row is contiguous, so numpy sums
     it pairwise as it sums a lone column; a (cells, columns) block sums cell
     by cell, to other bytes."""
     n = columns.shape[1]
-    width = max(1, _BLOCK_BYTES // (16 * max(1, n)))
     means, sigmas = [], []
-    for j in range(0, len(columns), width):
-        block = columns[j : j + width]
+    for s in _spans(len(columns), 16 * n):
+        block = columns[s]
         mean = block.mean(axis=1)
         block -= mean[:, None]
         squares = block.real**2
@@ -377,14 +399,10 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
     if matrix.n_rows < 2:
         raise DataError("standardization needs at least 2 rows")
     (n, c), data = matrix.data.shape, matrix.data
-    # the columns are copied into the output's own buffer as rows, for
-    # _center, in tiles of 1/64 of a block, which stay in the first-level
-    # cache (whole 2 MiB blocks took about twice as long); the cells then
-    # overwrite them
+    # the columns go into the output's own buffer as rows, for _center; the
+    # cells then overwrite them
     out = np.empty((n, c), dtype=np.complex128)
-    columns, tile = out.reshape(c, n), max(1, _BLOCK_BYTES // (64 * 16 * max(1, c)))
-    for r in range(0, n, tile):
-        columns[:, r : r + tile] = data[r : r + tile].T
+    columns = _transpose_into(out.reshape(c, n), data)
     # an overflow only ever yields a non-finite sigma, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         means, sigmas = _center(columns)
@@ -395,10 +413,9 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
             if not math.isfinite(s):
                 raise DataError(f"column {col.name!r} is too spread out: its scatter overflows")
         # the cells in row order, a block of rows at a time, each by the same subtraction and division
-        span = max(1, _BLOCK_BYTES // (16 * max(1, c)))
-        for r in range(0, n, span):
-            np.subtract(data[r : r + span], means, out=out[r : r + span])
-            np.divide(out[r : r + span], sigmas, out=out[r : r + span])
+        for r in _spans(n, 16 * c):
+            np.subtract(data[r], means, out=out[r])
+            np.divide(out[r], sigmas, out=out[r])
     out.flags.writeable = False  # so the new matrix adopts it: the second n x c array, not a third
     return replace(matrix, data=out, scaling=tuple(map(ColumnScaling, matrix.column_names, means, sigmas)))
 
@@ -487,16 +504,15 @@ def _read_cells(rows: list, columns: tuple[CodedColumn, ...]) -> np.ndarray:
         r, c = divmod(i, width)
         return f"coded cell at row {r + 1}, column {c + 1} ({columns[c].name!r})"
     data = np.empty((len(rows), width), dtype=np.complex128)
-    span = max(1, _BLOCK_BYTES // (16 * max(1, width)))
-    for lo in range(0, len(rows), span):  # a block of rows at a time: no list holds every number
-        part, first = rows[lo : lo + span], lo * width
+    for s in _spans(len(rows), 16 * width):  # a block of rows at a time: no list holds every number
+        part, first = rows[s], s.start * width
         try:
             values = list(chain.from_iterable(map(itemgetter("re", "im"), chain.from_iterable(part))))
         except (KeyError, TypeError):
             cells = enumerate(chain.from_iterable(part))
             i, cell = next((i, c) for i, c in cells if not isinstance(c, dict) or not {"re", "im"} <= c.keys())
             raise DataError(f"{where(first + i)} is not a re/im pair: {cell!r}") from None
-        pairs = data[lo : lo + span].reshape(-1).view(np.float64)  # a view: each cell's re, then its im
+        pairs = data[s].reshape(-1).view(np.float64)  # a view: each cell's re, then its im
         pairs[:] = read_numbers(values, lambda i: f"{where(first + i // 2)}, {('re', 'im')[i % 2]}")
     data.flags.writeable = False
     return data

@@ -20,7 +20,7 @@ from complexrank import (
     splitmix64,
     standardize,
 )
-from complexrank import cluster
+from complexrank import cluster, coding
 from complexrank.cluster import (
     BUCKET_KEYS,
     DEFAULT_CONDITIONS,
@@ -262,7 +262,7 @@ def assert_matches_the_oracle_in_any_blocks(data, k, **kwargs):
     for block_bytes in (None, FOUR_ROW_BLOCKS):
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
-                mp.setattr(cluster, "_BLOCK_BYTES", block_bytes)
+                mp.setattr(coding, "_BLOCK_BYTES", block_bytes)
             assert_matches_broadcast_oracle(data, k, **kwargs)
 
 
@@ -280,7 +280,7 @@ class TestBlockedDistances:
 
     @pytest.fixture
     def four_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", FOUR_ROW_BLOCKS)
+        monkeypatch.setattr(coding, "_BLOCK_BYTES", FOUR_ROW_BLOCKS)
 
     @pytest.mark.parametrize("n", [12, 13, 3])  # a multiple, one more, under one block
     @pytest.mark.parametrize("seed", range(4))
@@ -307,6 +307,14 @@ class TestBlockedDistances:
         data = offset + spread * random_points(seed, 200, 3, complex_valued=False)
         assert_matches_broadcast_oracle(data, 4, seed=seed)
 
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 2), (5, 3), (7, 7), (1, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_width_rows(self, n, k, seed, dtype):
+        # every distance is 0, so every row goes to cluster 0 and the others
+        # reseed; a block size divided by d once raised ZeroDivisionError here
+        assert_matches_the_oracle_in_any_blocks(np.zeros((n, 0), dtype=dtype), k, seed=seed)
+
     def test_overflowing_cross_term_is_rechecked(self):
         # squared norms of 1.69e308, 1.49e308 and 0.36e308 fit in float64,
         # but 2 x.c1 = 1.82e308 does not: the screen reads x's distance to
@@ -330,12 +338,12 @@ class TestBlockedDistances:
             data = np.array([[0.0, 5], [-2, 0], [2, 0], [-1, 1], [1, -1], [0, -6], [3, 3]])
             first, later = [[-2.0, 0], [3, 3]], [[-1.0, 0], [1, 0]]
         starts = np.array([first, later, later[::-1]])
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 2 * 2 * 3 * 2)  # k = d = 2: two rows of 3 restarts
+        monkeypatch.setattr(coding, "_BLOCK_BYTES", 8 * 2 * 2 * 3 * 2)  # k = d = 2: two rows of 3 restarts
         rechecked, exact_d2 = [], cluster._exact_d2
 
-        def recording(work, pts, cents, at, block):
+        def recording(work, pts, cents, at, pair_bytes):
             rechecked.append(set(zip(at.tolist(), pts.tolist())))
-            return exact_d2(work, pts, cents, at, block)
+            return exact_d2(work, pts, cents, at, pair_bytes)
 
         monkeypatch.setattr(cluster, "_exact_d2", recording)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -475,7 +483,7 @@ class TestBlockedDistances:
         for block_bytes in (None, FOUR_ROW_BLOCKS):
             with pytest.MonkeyPatch.context() as mp:
                 if block_bytes is not None:
-                    mp.setattr(cluster, "_BLOCK_BYTES", block_bytes)
+                    mp.setattr(coding, "_BLOCK_BYTES", block_bytes)
                 assignments, centroids, inertia, iterations, _, reseeds = cluster._lloyd(
                     work, work[cluster._start(n, k, seeds)], 100)
             assert reseeds.any()
@@ -513,7 +521,7 @@ class TestBlockedDistances:
     def test_cars_matrices_with_one_row_blocks(self, monkeypatch, cars, mode):
         # standardized cars has duplicate rows and near ties; a GEMM-form
         # distance flips the argmin for some of these seeds (nominal mode)
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(coding, "_BLOCK_BYTES", 1)
         m = standardize(encode_dataset(cars, mode))
         for seed in range(40):
             assert_matches_broadcast_oracle(m.data, 3, seed=seed)
@@ -565,7 +573,7 @@ class TestBatchedRestarts:
         # converge and some stop at the cap, some reseed an emptied cluster
         monkeypatch.setattr(cluster, "_MAX_ITERATIONS", 2)
         n, k, d = 10, 3, 4
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * 3)  # batches of 3 restarts
+        monkeypatch.setattr(coding, "_BLOCK_BYTES", 8 * k * d * n * 3)  # batches of 3 restarts
         data = standardize(encode_dataset(cars, EncodeMode.NUMERIC))
         alone = [kmeans(data, k, seed=derive_run_seed(4, 0, r), max_iterations=2) for r in range(20)]
         assert {r.converged for r in alone} == {True, False}
@@ -592,7 +600,7 @@ class TestBatchedRestarts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cluster, "_MAX_ITERATIONS", cap)
             if groups is not None:
-                mp.setattr(cluster, "_BLOCK_BYTES", int(8 * k * max(d, 1) * dataset.n_rows * groups))
+                mp.setattr(coding, "_BLOCK_BYTES", int(8 * k * max(d, 1) * dataset.n_rows * groups))
             assert_runs_match_the_oracles(dataset, [mode], repeats, master_seed, cap)
 
     @settings(max_examples=80, deadline=None)
@@ -681,15 +689,18 @@ class TestBatchedRestarts:
     )
     def test_reseed_distances_are_a_column_of_the_exact_ones(self, n, k, d, restarts, block, scale, data_seed):
         # the farthest-point reseed reads each row's distance to its own
-        # centroid alone; from eight channels on, a pairwise sum of the
-        # squares would give other bytes than the broadcast's einsum
+        # centroid alone, from the (R k, 1, d) view of the centroids; from
+        # eight channels on, a pairwise sum of the squares would give other
+        # bytes than the broadcast's einsum
         rng = np.random.default_rng(data_seed)
         work, cents = rng.normal(size=(n, d)) * scale, rng.normal(size=(restarts, k, d)) * scale
         at, pts = np.arange(restarts).repeat(n), np.tile(np.arange(n), restarts)
         own = rng.integers(0, k, size=pts.size)
+        pair_bytes = coding._BLOCK_BYTES // block  # chunks of `block` pairs
         with np.errstate(over="ignore", under="ignore"):
-            want = cluster._exact_d2(work, pts, cents, at, block)[np.arange(pts.size), own]
-            assert cluster._own_d2(work, pts, cents, at, own, block).tobytes() == want.tobytes()
+            want = cluster._exact_d2(work, pts, cents, at, pair_bytes)[np.arange(pts.size), own]
+            got = cluster._exact_d2(work, pts, cents.reshape(restarts * k, 1, d), at * k + own, pair_bytes)[:, 0]
+            assert got.tobytes() == want.tobytes()
 
 
 def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):
@@ -706,7 +717,7 @@ def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False)
         # with more live restarts than a block holds, each block takes
         # fewer rows of them all
         if groups is not None:
-            mp.setattr(cluster, "_BLOCK_BYTES", 8 * k * d * n * groups)
+            mp.setattr(coding, "_BLOCK_BYTES", 8 * k * d * n * groups)
         assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
             data, data[cluster._start(n, k, seeds)], cap
         )
@@ -789,7 +800,7 @@ class TestStarts:
     def test_a_shared_draw_across_chunks_is_the_pinned_table(self, monkeypatch):
         # the eight seeds pinned at n = 10, k = 3, drawn three to a chunk
         pinned = [(seed, rows) for seed, n, k, rows in PINNED_ROWS if (n, k) == (10, 3)]
-        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 3 * 3)
+        monkeypatch.setattr(coding, "_BLOCK_BYTES", 8 * 3 * 3)
         assert start_rows(10, 3, [seed for seed, _ in pinned]).tolist() == [rows for _, rows in pinned]
 
     @given(
@@ -803,7 +814,7 @@ class TestStarts:
         # (all n of them in a tail shuffle, else its k picks)
         n, k = sizes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cluster, "_BLOCK_BYTES", 8 * (n if n > 10000 and k > n // 50 else k) * per)
+            mp.setattr(coding, "_BLOCK_BYTES", 8 * (n if n > 10000 and k > n // 50 else k) * per)
             assert np.array_equal(start_rows(n, k, seeds), numpy_choice(n, k, seeds))
 
     def test_more_than_2_32_rows_are_refused_at_once(self):
@@ -961,7 +972,7 @@ class TestPurity:
         want = [reference_max_matching(table.tolist()) for table in stack]
         with pytest.MonkeyPatch.context() as mp:
             if per is not None:
-                mp.setattr(cluster, "_BLOCK_BYTES", 8 * stack.shape[1] * stack.shape[2] * per)
+                mp.setattr(coding, "_BLOCK_BYTES", 8 * stack.shape[1] * stack.shape[2] * per)
             assert cluster._max_matchings(stack).tolist() == want
 
     @given(

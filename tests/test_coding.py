@@ -563,6 +563,28 @@ class TestAdoption:
             CodedMatrix(TWO_COLUMNS, frozen(arr))
 
 
+class TestBlockRule:
+    """_spans is the one block rule of every blocked pass: slices of
+    max(1, _BLOCK_BYTES // max(1, item_bytes)) items over range(total)."""
+
+    @given(st.integers(0, 300), st.integers(0, 200), st.sampled_from([None, 1, 7, 64]))
+    @example(total=0, item_bytes=0, block_bytes=None)
+    @example(total=5, item_bytes=0, block_bytes=None)
+    @example(total=0, item_bytes=8, block_bytes=1)
+    def test_spans_tile_the_range_in_steps_of_the_rule(self, total, item_bytes, block_bytes):
+        # block_bytes: a small block (None: the default), so that a few
+        # hundred items take many spans
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(coding, "_BLOCK_BYTES", block_bytes)
+            step = max(1, coding._BLOCK_BYTES // max(1, item_bytes))
+            spans = list(coding._spans(total, item_bytes))
+        covered = [i for s in spans for i in range(total)[s]]
+        assert covered == list(range(total))  # in order, no gap, no overlap
+        assert all(s.stop - s.start == step for s in spans[:-1])
+        assert all(0 < len(range(total)[s]) <= step for s in spans)
+
+
 def colliding_dataset() -> Dataset:
     """A numeric column named a=x beside a nominal column a with token x."""
     schema = AttributeSchema((Column("a=x", Role.NUMERIC), Column("a", Role.NOMINAL)))
