@@ -20,7 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import CodedMatrix, EncodeMode, _spans, _transpose_into, encode_dataset, standardize
+# encode_dataset and standardize are not called here, but the benchmark's
+# trace wraps them under this module's names
+from .coding import (  # noqa: F401
+    CodedMatrix, EncodeMode, _scaled_block, _spans, _transpose_into, encode_dataset, standardize,
+)
 from .dataset import DataError, Dataset, factorize
 from .space import real_expansion
 
@@ -277,7 +281,8 @@ def kmeans(
     # finite data can still overflow float64 in a distance or a cluster
     # sum; the result is checked instead of warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
-        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(work, start, max_iterations)
+        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(
+            work, start, max_iterations, [_transpose_into(np.empty(work.shape[::-1]), work)])
     if not (np.isfinite(centroids).all() and np.isfinite(inertia[0])):
         raise DataError("k-means overflowed: the data is too large in modulus for float64 distances and means")
     centroids = centroids[0]
@@ -292,10 +297,16 @@ def kmeans(
     )
 
 
-def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tuple[np.ndarray, ...]:
+def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
+           channels: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Lloyd's algorithm from each of R starts at once; `kmeans` is R = 1.
 
-    work is the (n, d) real matrix and centroids the (R, k, d) starts.
+    work is the (n, d) real matrix, centroids the (R, k, d) starts and
+    channels a list holding work's channel rows, the C-order (d, n)
+    transpose of work, which _lloyd pops, overwrites and frees before its
+    inertia step. The caller keeps no other reference to them; an array
+    passed as an argument would stay referenced by the calling frame until
+    the call returns on Python 3.10.
     Each restart runs exactly as it would alone: the live restarts drop
     one as soon as its assignments repeat, and the restarts that emptied
     cluster c reseed it side by side, c in ascending order. Returns per-restart
@@ -322,10 +333,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int) -> tupl
     converged = np.zeros(R, dtype=bool)
     reseeds = np.zeros(R, dtype=np.intp)
     # the product and the bincount update read each channel as one
-    # contiguous row of a transposed copy, its nonzero channels at the
-    # front; for d = 1 a cluster's mean sums its contiguous column pairwise,
-    # which a bincount would not reproduce, so d = 1 keeps the mean
-    columns = _transpose_into(np.empty((d, n)), work)
+    # contiguous row, its nonzero channels moved to the front; for d = 1 a
+    # cluster's mean sums its contiguous column pairwise, which a bincount
+    # would not reproduce, so d = 1 keeps the mean
+    columns = channels.pop()
     nz = np.flatnonzero(columns.any(axis=1))
     for i, j in enumerate(nz):  # i <= j, so no row is overwritten before it moves
         if i != j:
@@ -671,6 +682,26 @@ DEFAULT_CONDITIONS = (
 )
 
 
+def _layouts(dataset: Dataset, mode: EncodeMode, books: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One condition's (n, 2c) real working matrix and its (2c, n) channel
+    rows, real_expansion(standardize(encode_dataset(dataset, mode)).data)
+    and its transpose bit for bit, with their refusals, in two arrays.
+
+    One tiled transpose writes the working matrix from the condition's
+    scaled (c, n) block (_scaled_block, with the experiment's books); each
+    row of the block, (re, im, re, im, ...), is then split in place into
+    its re and its im channel row.
+    """
+    block = _scaled_block(dataset, mode, books)
+    work = _transpose_into(np.empty(block.shape[::-1], dtype=np.complex128), block).view(np.float64)
+    n, interleaved = dataset.n_rows, block.view(np.float64)
+    scratch = np.empty(2 * n)
+    for row in interleaved:
+        scratch[:] = row
+        row[:n], row[n:] = scratch[0::2], scratch[1::2]
+    return work, interleaved.reshape(-1, n)
+
+
 def run_experiment(
     dataset: Dataset,
     conditions: Sequence[EncodeMode | str] = DEFAULT_CONDITIONS,
@@ -702,15 +733,19 @@ def run_experiment(
     # every condition's starts in one draw; all runs' count tables matched at once
     starts = _start(n, k, seeds.ravel().tolist()).reshape(len(conditions), repeats, k)
     tables, inertias, iterations = [], np.empty(seeds.shape), np.empty(seeds.shape, dtype=np.intp)
+    books: dict = {}  # each nominal column's codebook, built once for every condition
     for ci, mode in enumerate(conditions):
-        work = real_expansion(standardize(encode_dataset(dataset, mode)).data)
+        work, *channels = _layouts(dataset, mode, books)
         # restarts per batch: as many as one distance block holds, so the
         # distance scratch and the inertia step's temporaries stay within a
         # block (a batch of one restart splits its rows into blocks)
         for s in _spans(repeats, 8 * k * work.shape[1] * n):
-            result = _lloyd(work, work[starts[ci, s]], _MAX_ITERATIONS)
+            # the first batch pops the block's channel rows; a later one transposes work again
+            channels = channels or [_transpose_into(np.empty(work.shape[::-1]), work)]
+            result = _lloyd(work, work[starts[ci, s]], _MAX_ITERATIONS, channels)
             tables.append(_count_tables(result[0], label_codes, k, k))
             inertias[ci, s], iterations[ci, s] = result[2:4]
+        del work  # so that the next condition's block and working matrix are the two arrays
     accuracies = _max_matchings(np.concatenate(tables)).reshape(seeds.shape) / n
     columns = [c.tolist() for c in (seeds, accuracies, inertias, iterations)]
     return ExperimentReport(

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Role, factorize, read_enum, read_field, read_numbers
+from .dataset import DataError, Dataset, Role, _first_seen, factorize, read_enum, read_field, read_numbers
 
 
 def base_rank(n: int) -> float:
@@ -230,14 +230,15 @@ def _spans(total: int, item_bytes: int) -> Iterator[slice]:
 
 
 def _transpose_into(out: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Copy the (n, c) array a into the (c, n) array out as its transpose; return out.
+    """Copy the 2-D array a into out, of a's transposed shape, as its transpose; return out.
 
-    It copies in tiles of 1/64 of a block, which stay in the first-level
-    cache: whole 2 MiB blocks took about twice as long, and one whole
-    out[...] = a.T two to four times as long.
+    It copies in tiles of 1/64 of a block along a's longer axis, which stay
+    in the first-level cache: whole 2 MiB blocks took about twice as long,
+    and one whole out[...] = a.T two to four times as long.
     """
-    for s in _spans(len(a), 64 * a.itemsize * a.shape[1]):
-        out[:, s] = a[s].T
+    src, dst = (a, out.T) if a.shape[0] >= a.shape[1] else (a.T, out)
+    for s in _spans(len(src), 64 * a.itemsize * src.shape[1]):
+        dst[s] = src[s]
     return out
 
 
@@ -259,6 +260,47 @@ def _center(columns: np.ndarray) -> tuple[list[complex], list[float]]:
         means += mean.tolist()
         sigmas += np.sqrt(squares.sum(axis=1) / n).tolist()
     return means, sigmas
+
+
+def _scale(columns: np.ndarray, names: Sequence[str]) -> tuple[list[complex], list[float]]:
+    """Standardize the rows of a C-order complex (columns, cells) array in
+    place, each one coded column named by names: center it on its mean
+    (_center) and divide it by its scatter. Fewer than 2 cells, and the
+    first column whose scatter is zero or overflows, are refused. Returns
+    the means and the sigmas."""
+    if columns.shape[1] < 2:
+        raise DataError("standardization needs at least 2 rows")
+    # an overflow only ever yields a non-finite sigma, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, sigmas = _center(columns)
+        for name, s in zip(names, sigmas):
+            # sigma is 0 for a constant column and for a subnormal spread alike
+            if s == 0.0:
+                raise DataError(f"column {name!r} has zero dispersion")
+            if not math.isfinite(s):
+                raise DataError(f"column {name!r} is too spread out: its scatter overflows")
+        # numpy divides by each sigma as the complex sigma + 0j
+        np.divide(columns, np.array(sigmas)[:, None], out=columns)
+    return means, sigmas
+
+
+def _require_distinct(columns: Sequence[CodedColumn]) -> None:
+    """Refuse two coded columns of one name, naming both positions."""
+    seen: dict[str, int] = {}
+    for i, c in enumerate(columns, start=1):
+        if seen.setdefault(c.name, i) != i:
+            raise DataError(f"coded columns {seen[c.name]} and {i} are both named {c.name!r}")
+
+
+def _require_finite(columns: np.ndarray, names: Sequence[str]) -> None:
+    """Refuse a complex (columns, cells) array, or a transposed view of
+    one, with a cell that is not finite; the first by row, then by column,
+    is named."""
+    if not np.isfinite(columns).all():
+        bad = ~np.isfinite(columns)
+        r = int(bad.any(axis=0).argmax())
+        c = int(bad[:, r].argmax())
+        raise DataError(f"coded cell at row {r + 1}, column {c + 1} ({names[c]!r}) is not finite: {columns[c, r]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +333,8 @@ class CodedMatrix:
             )
         if self.decision is not None and len(self.decision) != data.shape[0]:
             raise ValueError("decision labels must match the number of rows")
-        seen: dict[str, int] = {}
-        for i, c in enumerate(self.columns, start=1):
-            if seen.setdefault(c.name, i) != i:
-                raise DataError(f"coded columns {seen[c.name]} and {i} are both named {c.name!r}")
-        if not np.isfinite(data).all():
-            r, c = np.argwhere(~np.isfinite(data))[0]
-            raise DataError(
-                f"coded cell at row {r + 1}, column {c + 1} ({self.columns[c].name!r}) "
-                f"is not finite: {data[r, c]}"
-            )
+        _require_distinct(self.columns)
+        _require_finite(data.T, [c.name for c in self.columns])
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -322,14 +356,13 @@ class CodedMatrix:
         raise DataError(f"unknown coded column: {name!r}")
 
 
-def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
-    """Turn a dataset into a coded matrix under the given mode.
-
-    The mode is an EncodeMode or its value; any other raises ValueError.
-    Columns keep their schema order; a one-hot block sits where its source
-    column was. Modes that exist to exercise nominal coding (nominal, adhoc,
-    onehot) require at least one nominal column, and numeric requires at
-    least one numeric column.
+def _coded_columns(dataset: Dataset, mode: EncodeMode | str, books: dict | None = None) -> tuple:
+    """The column rules of encode_dataset, which the experiment shares:
+    (columns, codebooks, ad hoc maps, cells), cells being the (j, values,
+    codes) items _fill writes. The mode's requirements are checked, and two
+    coded columns of one name are refused. books, a dict kept across calls,
+    holds each nominal column's codebook and its values by name, so an
+    experiment builds each once for all its conditions.
     """
     mode = EncodeMode(mode)
     if mode is EncodeMode.COMPLEX:
@@ -340,42 +373,88 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
     if mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT) and Role.NOMINAL not in roles:
         raise DataError(f"mode {mode.value!r} needs at least one nominal column")
 
+    books = {} if books is None else books
     skipped = {EncodeMode.NUMERIC: Role.NOMINAL, EncodeMode.NOMINAL: Role.NUMERIC}.get(mode)
-    features = [c for c in dataset.schema.columns if c.role not in (Role.DECISION, skipped)]
-    onehot = mode is EncodeMode.ONEHOT
-    widths = [len(dataset.codes(c.name)[1]) if onehot and c.role is Role.NOMINAL else 1 for c in features]
-    # each column is written in place into the one array the matrix adopts
-    data = np.zeros((dataset.n_rows, sum(widths)), dtype=np.complex128)
     columns: list[CodedColumn] = []
     codebooks: list[NominalCodebook] = []
     adhoc_codes: dict[str, dict[str, float]] = {}
-
-    for col, j in zip(features, np.cumsum([0] + widths).tolist()):
+    cells: list[tuple[int, np.ndarray | None, np.ndarray | None]] = []
+    for col in dataset.schema.columns:
+        if col.role in (Role.DECISION, skipped):
+            continue
+        j = len(columns)
         if col.role is Role.NUMERIC:
             columns.append(CodedColumn(col.name, ColumnSource.NUMERIC))
-            data[:, j] = dataset.numeric(col.name)
+            cells.append((j, dataset.numeric(col.name), None))
             continue
         codes, vocabulary = dataset.codes(col.name)
-        if mode in (EncodeMode.COMBINED, EncodeMode.NOMINAL):
-            cb = _codebook(np.bincount(codes), vocabulary, col.name)
+        if mode is EncodeMode.COMBINED or mode is EncodeMode.NOMINAL:
+            if col.name not in books:
+                cb = _codebook(np.bincount(codes), vocabulary, col.name)
+                # the entries are in vocabulary order, so a token's code indexes its value
+                books[col.name] = cb, np.array([e.value for e in cb.entries.values()])
+            cb, values = books[col.name]
             codebooks.append(cb)
             columns.append(CodedColumn(col.name, ColumnSource.COMPLEX_CODED))
-            # the entries are in vocabulary order, so a token's code indexes its value
-            data[:, j] = np.array([e.value for e in cb.entries.values()])[codes]
+            cells.append((j, values, codes))
         elif mode is EncodeMode.ADHOC:
             adhoc_codes[col.name] = adhoc_codebook(vocabulary)
             columns.append(CodedColumn(col.name, ColumnSource.ADHOC_CODED))
-            data[:, j] = codes + 1
+            cells.append((j, np.arange(1.0, len(vocabulary) + 1), codes))
         else:
             columns.extend(CodedColumn(f"{col.name}={t}", ColumnSource.ONE_HOT) for t in vocabulary)
-            data[np.arange(len(codes)), j + codes] = 1
+            cells.append((j, None, codes))
+    _require_distinct(columns)
+    return tuple(columns), tuple(codebooks), adhoc_codes, cells
 
+
+def _fill(out: np.ndarray, cells: list) -> np.ndarray:
+    """Write _coded_columns' cells into the zeroed complex (columns, rows)
+    array out, or a transposed view of one; return out. Column j holds the
+    values of a numeric column (codes None) or values[codes]; a one-hot
+    block (values None) starting at column j holds one 1 per row, at j plus
+    the row's code."""
+    for j, values, codes in cells:
+        if values is None:
+            out[j + codes, np.arange(len(codes))] = 1
+        else:
+            out[j] = values if codes is None else values[codes]
+    return out
+
+
+def _scaled_block(dataset: Dataset, mode: EncodeMode | str, books: dict) -> np.ndarray:
+    """The C-order (c, n) complex block standardize(encode_dataset(dataset,
+    mode)).data.T, bit for bit and with their refusals, in one array: each
+    coded column is written by encode_dataset's rules into its own
+    contiguous row, which standardize's rule (_scale) scales in place.
+    books is as for _coded_columns."""
+    columns, _, _, cells = _coded_columns(dataset, mode, books)
+    names = [c.name for c in columns]
+    block = _fill(np.zeros((len(columns), dataset.n_rows), dtype=np.complex128), cells)
+    _require_finite(block, names)
+    _scale(block, names)
+    return block
+
+
+def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
+    """Turn a dataset into a coded matrix under the given mode.
+
+    The mode is an EncodeMode or its value; any other raises ValueError.
+    Columns keep their schema order; a one-hot block sits where its source
+    column was. Modes that exist to exercise nominal coding (nominal, adhoc,
+    onehot) require at least one nominal column, and numeric requires at
+    least one numeric column.
+    """
+    columns, codebooks, adhoc_codes, cells = _coded_columns(dataset, mode)
+    # each column is written in place into the one array the matrix adopts
+    data = np.zeros((dataset.n_rows, len(columns)), dtype=np.complex128)
+    _fill(data.T, cells)
     data.flags.writeable = False
     return CodedMatrix(
-        columns=tuple(columns),
+        columns=columns,
         data=data,
         decision=dataset.decision_labels(),
-        codebooks=tuple(codebooks),
+        codebooks=codebooks,
         adhoc_codes=adhoc_codes,
     )
 
@@ -390,32 +469,22 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
     first such column is rejected by name. A matrix that already has a
     scaling raises ValueError: a second one would not describe its cells.
 
-    The means and sigmas come from a transposed copy of the cells made in
-    the output's own buffer, which the scaled cells then overwrite, so the
-    output is the only n x c array it allocates.
+    A block of columns at a time is copied into contiguous rows, scaled
+    there by _scale and copied back, so the output is the only n x c array
+    it allocates.
     """
     if matrix.scaling is not None:
         raise ValueError("the matrix is already standardized")
-    if matrix.n_rows < 2:
-        raise DataError("standardization needs at least 2 rows")
     (n, c), data = matrix.data.shape, matrix.data
-    # the columns go into the output's own buffer as rows, for _center; the
-    # cells then overwrite them
     out = np.empty((n, c), dtype=np.complex128)
-    columns = _transpose_into(out.reshape(c, n), data)
-    # an overflow only ever yields a non-finite sigma, which is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        means, sigmas = _center(columns)
-        for col, s in zip(matrix.columns, sigmas):
-            # sigma is 0 for a constant column and for a subnormal spread alike
-            if s == 0.0:
-                raise DataError(f"column {col.name!r} has zero dispersion")
-            if not math.isfinite(s):
-                raise DataError(f"column {col.name!r} is too spread out: its scatter overflows")
-        # the cells in row order, a block of rows at a time, each by the same subtraction and division
-        for r in _spans(n, 16 * c):
-            np.subtract(data[r], means, out=out[r])
-            np.divide(out[r], sigmas, out=out[r])
+    means, sigmas = [], []
+    # one span at least, so that a matrix of no columns is refused for its rows too
+    for s in _spans(max(c, 1), 16 * n):
+        block = _transpose_into(np.empty(data[:, s].shape[::-1], dtype=np.complex128), data[:, s])
+        mean, sigma = _scale(block, matrix.column_names[s])
+        _transpose_into(out[:, s], block)
+        means += mean
+        sigmas += sigma
     out.flags.writeable = False  # so the new matrix adopts it: the second n x c array, not a third
     return replace(matrix, data=out, scaling=tuple(map(ColumnScaling, matrix.column_names, means, sigmas)))
 
@@ -454,16 +523,23 @@ def coded_matrix_to_json(matrix: CodedMatrix, mode: EncodeMode) -> str:
 
     The text is `json.dumps({"mode": mode.value, **coded_matrix_to_json_dict(matrix)},
     indent=2) + "\n"`, byte for byte. Only the fields around "rows" go
-    through json. The rows are written by float position (each column's
-    re, then its im): each distinct value of a position is formatted once,
-    with the fixed text around it, and the texts are gathered back into
-    row order. One join of them builds the document, without a dict per
-    cell or a second copy of the rows text.
+    through json, and of the decision list only each distinct label's
+    text, which is then gathered by row. The rows are written by float
+    position (each column's re, then its im): each distinct value of a
+    position is formatted once, with the fixed text around it, and the
+    texts are gathered back into row order. One join of them builds the
+    document, without a dict per cell or a second copy of the rows text.
     """
     head, tail = _json_fields(matrix)
+    labels = tail.pop("decision")
+    if labels:  # each distinct label's text once, gathered by row, laid out as indent=2 lays out a list
+        texts = {t: json.encoder.encode_basestring_ascii(t) for t in set(labels)}
+        decision = "[\n    " + ",\n    ".join(map(texts.__getitem__, labels)) + "\n  ]"
+    else:  # null, or [] for a matrix of no rows
+        decision = json.dumps(labels)
     # both dumps are non-empty objects: "{\n" + fields + "\n}"
     doc_before = json.dumps({"mode": mode.value, **head}, indent=2)[:-2] + ',\n  "rows": '
-    doc_after = ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
+    doc_after = ',\n  "decision": ' + decision + ",\n" + json.dumps(tail, indent=2)[2:] + "\n"
     n, d = matrix.data.shape
     if not n or not d:
         rows = "[\n" + ",\n".join(["    []"] * n) + "\n  ]" if n else "[]"
@@ -551,19 +627,6 @@ def _decoded(cells: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
         r = np.flatnonzero(values[codes] != cells)[0]
         raise DataError(f"coded cell at row {r + 1}, {where} is {cells[r]}, which no entry of its map gives")
     return codes
-
-
-def _first_seen(codes: np.ndarray, tokens: list[str], where: str) -> None:
-    """Require each token to be first seen in `tokens` order, and in some cell."""
-    # the running maximum of the codes steps by one where a token is first seen
-    seen = np.maximum.accumulate(codes)
-    late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
-    if late.size:
-        r = late[0]
-        missing = tokens[seen[r - 1] + 1 if r else 0]
-        if r == len(codes):
-            raise DataError(f"{where}: token {missing!r} is in no cell")
-        raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
 
 
 def _check_coded_cells(matrix: CodedMatrix) -> None:

@@ -24,8 +24,9 @@ Cell = float | str
 
 # Integer or plain decimal, optional sign. No exponents, no inf/nan.
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
-# _NUMBER's characters and newlines: within them float() reads exactly _NUMBER's forms
-_NUMBER_CHARS = re.compile(r"[\d+.\-\n]*")
+# _NUMBER's characters and whitespace: within them float() reads exactly
+# _NUMBER's forms, after stripping the whitespace str.strip strips
+_NUMBER_CHARS = re.compile(r"[\d\s+.\-]*")
 # One line: the text up to the first break that str.splitlines ends a line on.
 _LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
@@ -152,14 +153,54 @@ def factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple]:
     return codes, tuple(index)
 
 
+def _first_seen(codes: np.ndarray, tokens: Sequence, where: str) -> None:
+    """Require each token to be first seen in `tokens` order, and in some cell."""
+    # the running maximum of the codes steps by one where a token is first seen
+    seen = np.maximum.accumulate(codes)
+    late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
+    if late.size:
+        r = late[0]
+        missing = tokens[seen[r - 1] + 1 if r else 0]
+        if r == len(codes):
+            raise DataError(f"{where}: token {missing!r} is in no cell")
+        raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
+
+
+def _is_pair(cells) -> bool:
+    """Whether a column is given as a (codes, vocabulary) pair, not as cells."""
+    return isinstance(cells, tuple) and len(cells) == 2 and isinstance(cells[0], np.ndarray)
+
+
+def _read_pair(pair: tuple, where: str) -> tuple[np.ndarray, tuple]:
+    """The codes and tokens of a (codes, vocabulary) pair, as Dataset.codes
+    gives them: 1-D intp codes into a tuple of tokens, each token first seen
+    in vocabulary order. The codes are adopted if frozen and owning their
+    data, else copied."""
+    codes, vocabulary = pair
+    if codes.dtype != np.intp or codes.ndim != 1:
+        raise DataError(f"{where}: codes must be a 1-D intp array, got {codes.ndim}-D {codes.dtype}")
+    if not isinstance(vocabulary, tuple):
+        raise DataError(f"{where}: the vocabulary must be a tuple, got {type(vocabulary).__name__}")
+    bad = np.flatnonzero((codes < 0) | (codes >= len(vocabulary)))
+    if bad.size:
+        raise DataError(f"row {bad[0] + 1}, {where}: code {codes[bad[0]]} is not an index of {len(vocabulary)} tokens")
+    _first_seen(codes, vocabulary, where)
+    if codes.flags.writeable or not codes.flags.owndata:
+        codes = codes.copy()
+        codes.flags.writeable = False
+    return codes, vocabulary
+
+
 class Dataset:
     """A table whose cells have been validated once against a schema.
 
     The constructor takes one sequence of cells per schema column, all of
-    the same length. Cells are stored by column as read-only (values,
-    vocabulary) pairs. A numeric column is a float64 array with vocabulary
-    None; a nominal or decision column is an array of integer codes into its
-    vocabulary, the distinct tokens in first-occurrence order.
+    the same length; a nominal or decision column may instead be the
+    (codes, vocabulary) pair that `codes` returns. Cells are stored by
+    column as read-only (values, vocabulary) pairs. A numeric column is a
+    float64 array with vocabulary None; a nominal or decision column is an
+    array of integer codes into its vocabulary, the distinct tokens in
+    first-occurrence order.
     """
 
     def __init__(self, schema: AttributeSchema, columns: Sequence[Sequence[Cell]]) -> None:
@@ -169,16 +210,18 @@ class Dataset:
             missing = (f"column {len(columns) + 1} ({schema.columns[len(columns)].name!r}) has none"
                        if len(columns) < width else f"column {width + 1} has no schema entry")
             raise DataError(f"expected {width} columns, found {len(columns)}: {missing}")
-        n_rows = len(columns[0])
+        pairs = [c.role is not Role.NUMERIC and _is_pair(cells) for c, cells in zip(schema.columns, columns)]
+        n_rows = len(columns[0][0] if pairs[0] else columns[0])
         if not n_rows:
             raise DataError("dataset has no rows")
         stored: list = []
-        for j, (col, cells) in enumerate(zip(schema.columns, columns), start=1):
+        for j, (col, cells, pair) in enumerate(zip(schema.columns, columns, pairs), start=1):
             where = f"column {j} ({col.name!r})"
             if isinstance(cells, str):
                 raise DataError(f"{where}: expected a sequence of cells, got the string {cells!r}")
-            if len(cells) != n_rows:
-                raise DataError(f"{where}: expected {n_rows} cells, found {len(cells)}")
+            size = len(cells[0] if pair else cells)
+            if size != n_rows:
+                raise DataError(f"{where}: expected {n_rows} cells, found {size}")
             if col.role is Role.NUMERIC:
                 values = read_numbers(cells, lambda r: f"row {r + 1}, {where}")
                 bad = np.flatnonzero(~np.isfinite(values))
@@ -187,11 +230,14 @@ class Dataset:
                 values.flags.writeable = False
                 stored.append((values, None))
                 continue
-            codes, vocabulary = factorize(cells)
+            codes, vocabulary = _read_pair(cells, where) if pair else factorize(cells)
             for c, token in enumerate(vocabulary):
                 if not isinstance(token, str) or not token:
                     r = int(np.argmax(codes == c)) + 1
                     raise DataError(f"row {r}, {where}: expected a non-empty token, got {token!r}")
+            if pair and len(set(vocabulary)) < len(vocabulary):
+                t = next(t for i, t in enumerate(vocabulary) if t in vocabulary[:i])
+                raise DataError(f"{where}: token {t!r} is in the vocabulary twice")
             stored.append((codes, vocabulary))
         self.schema = schema
         self.n_rows = n_rows
@@ -277,21 +323,33 @@ def parse_csv(
     del lines  # the cells now hold the text; dropping the lines keeps the peak low
     columns = []
     for j, col in enumerate(schema.columns, start=1):
-        cells = list(map(str.strip, flat[j - 1::width]))
+        cells = flat[j - 1::width]
         where = f"column {j} ({col.name!r})"
         if col.role is Role.NUMERIC:
-            try:  # one match over the column, and float() on each cell; a failure is found cell by cell
+            # one match over the column, and float() on each cell, which strips
+            # it as str.strip does; a failure is found cell by cell
+            try:
                 if not _NUMBER_CHARS.fullmatch("\n".join(cells)):
                     raise ValueError
-                cells = list(map(float, cells))
+                columns.append(list(map(float, cells)))
             except ValueError:
-                r, cell = next((r, c) for r, c in enumerate(cells, 1) if not _NUMBER.fullmatch(c))
+                r, cell = next((r, c) for r, c in enumerate(map(str.strip, cells), 1) if not _NUMBER.fullmatch(c))
                 raise DataError(f"row {r}, {where}: {cell!r} is not a plain decimal number") from None
-        elif "" in cells:
+            continue
+        # each distinct raw cell is stripped once; tokens that strip to one
+        # text are merged, the first seen first, and so is a missing cell
+        # with the token that stands for it
+        codes, raw = factorize(cells)
+        tokens = [t.strip() for t in raw]
+        if "" in tokens:
             if missing_as_category is None:
-                raise DataError(f"row {cells.index('') + 1}, {where}: empty value")
-            cells = [c or missing_as_category for c in cells]
-        columns.append(cells)
+                raise DataError(f"row {int(np.argmax(codes == tokens.index(''))) + 1}, {where}: empty value")
+            tokens = [t or missing_as_category for t in tokens]
+        merged, vocabulary = factorize(tokens)
+        if len(vocabulary) < len(raw):
+            codes = merged[codes]
+            codes.flags.writeable = False
+        columns.append((codes, vocabulary))
     return Dataset(schema, columns)
 
 

@@ -512,6 +512,21 @@ class TestExperimentCommand:
         assert code == 2
         assert "decision" in err
 
+    def test_colliding_coded_column_names_are_a_data_error(self, capsys, tmp_path):
+        # numeric "a=x" and the one-hot column of nominal a's token x
+        csv = tmp_path / "c.csv"
+        csv.write_text("a=x,a,y\n1,x,P\n2,z,Q\n3,x,P\n")
+        schema = tmp_path / "c.schema.json"
+        schema.write_text(json.dumps({"columns": [{"name": "a=x", "role": "numeric"},
+                                                  {"name": "a", "role": "nominal"},
+                                                  {"name": "y", "role": "decision"}]}))
+        argv = ["experiment", "--input", str(csv), "--schema", str(schema), "--conditions", "onehot"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "coded columns 1 and 2 are both named 'a=x'" in err
+        code, _, _ = run(capsys, argv[:-1] + ["adhoc"])
+        assert code == 0
+
     def test_empty_conditions_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--conditions", ","])

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ class TestBlockedDistances:
 
         monkeypatch.setattr(cluster, "_exact_d2", recording)
         with np.errstate(over="ignore", invalid="ignore"):
-            assignments, centroids, inertia, iterations, _, _ = cluster._lloyd(data, starts, 100)
+            assignments, centroids, inertia, iterations, _, _ = lloyd(data, starts, 100)
         if case == "exact tie":
             assert rechecked[0] == {(1, 0), (1, 5), (2, 0), (2, 5)}
         else:
@@ -484,7 +485,7 @@ class TestBlockedDistances:
             with pytest.MonkeyPatch.context() as mp:
                 if block_bytes is not None:
                     mp.setattr(coding, "_BLOCK_BYTES", block_bytes)
-                assignments, centroids, inertia, iterations, _, reseeds = cluster._lloyd(
+                assignments, centroids, inertia, iterations, _, reseeds = lloyd(
                     work, work[cluster._start(n, k, seeds)], 100)
             assert reseeds.any()
             for r, seed in enumerate(seeds):
@@ -703,6 +704,11 @@ class TestBatchedRestarts:
             assert got.tobytes() == want.tobytes()
 
 
+def lloyd(work, starts, cap):
+    """cluster._lloyd from the (R, k, d) starts, given work's channel rows as kmeans gives them."""
+    return cluster._lloyd(work, starts, cap, [coding._transpose_into(np.empty(work.shape[::-1]), work)])
+
+
 def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):
     """_lloyd from the starts of `seeds` equals broadcast_kmeans of each seed
     alone, and its converged and reseeds the R = 1 kmeans.
@@ -718,7 +724,7 @@ def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False)
         # fewer rows of them all
         if groups is not None:
             mp.setattr(coding, "_BLOCK_BYTES", 8 * k * d * n * groups)
-        assignments, centroids, inertia, iterations, converged, reseeds = cluster._lloyd(
+        assignments, centroids, inertia, iterations, converged, reseeds = lloyd(
             data, data[cluster._start(n, k, seeds)], cap
         )
     for r, seed in enumerate(seeds):
@@ -1110,6 +1116,65 @@ def condition_columns(draw):
 def tiny_labeled_dataset():
     schema = AttributeSchema.from_pairs([("x", "numeric"), ("y", "decision")])
     return Dataset(schema, ([0.0, 0.1, 10.0, 10.1], ["A", "A", "B", "B"]))
+
+
+def colliding_labeled_dataset():
+    """A numeric column named as the one-hot column of nominal a's token x."""
+    schema = AttributeSchema.from_pairs([("a=x", "numeric"), ("a", "nominal"), ("y", "decision")])
+    return Dataset(schema, ([1.0, 2.0, 3.0], ["x", "z", "x"], ["P", "Q", "P"]))
+
+
+@st.composite
+def block_tables(draw):
+    """A small labeled table of numeric columns (±0.0, subnormal, huge or
+    constant cells), nominal columns whose one-hot blocks vary in width, or
+    both; a numeric column may take the name of a one-hot column."""
+    n = draw(st.integers(1, 8))
+    cells = {
+        "plain": st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1]), min_size=n, max_size=n),
+        "constant": st.sampled_from([0.0, -0.0, 3.0]).map(lambda v: [v] * n),
+        "extreme": st.lists(st.sampled_from([-0.0, 5e-324, 1e300, -1e300]), min_size=n, max_size=n),
+    }
+    kinds = st.sampled_from(["plain"] * 6 + ["constant", "extreme"])
+    pairs, columns = [], []
+    for j in range(draw(st.integers(0, 3))):
+        pairs.append((draw(st.sampled_from([f"x{j}", "t=p"])) if j == 0 else f"x{j}", "numeric"))
+        columns.append(draw(cells[draw(kinds)]))
+    for name in ["t", "u"][: draw(st.integers(0 if pairs else 1, 2))]:
+        pairs.append((name, "nominal"))
+        columns.append(draw(st.lists(st.sampled_from("pqr"), min_size=n, max_size=n)))
+    pairs.append(("y", "decision"))
+    columns.append(draw(st.lists(st.sampled_from("AB"), min_size=n, max_size=n)))
+    return Dataset(AttributeSchema.from_pairs(pairs), columns)
+
+
+class TestConditionBlock:
+    """run_experiment codes and scales each condition in one column-major
+    block; its working matrix and channel rows must be those of the
+    encode_dataset, standardize and real_expansion chain."""
+
+    @given(block_tables())
+    @example(colliding_labeled_dataset())
+    @example(tiny_labeled_dataset())
+    def test_the_block_is_the_encode_and_standardize_chain(self, ds):
+        books = {}  # shared by the modes, as the experiment shares it by its conditions
+        for mode in EncodeMode:
+            try:
+                want = real_expansion(standardize(encode_dataset(ds, mode)).data)
+            except DataError as exc:
+                with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                    cluster._layouts(ds, mode, books)
+                continue
+            work, channels = cluster._layouts(ds, mode, books)
+            assert work.shape == want.shape and work.flags.c_contiguous
+            assert work.tobytes() == want.tobytes()
+            assert channels.shape == want.shape[::-1] and channels.flags.c_contiguous
+            assert channels.tobytes() == coding._transpose_into(np.empty(want.shape[::-1]), want).tobytes()
+
+    def test_colliding_coded_column_names_refuse_the_experiment(self):
+        with pytest.raises(DataError, match=r"^coded columns 1 and 2 are both named 'a=x'$"):
+            run_experiment(colliding_labeled_dataset(), [EncodeMode.ONEHOT], repeats=1)
+        assert run_experiment(colliding_labeled_dataset(), [EncodeMode.ADHOC], repeats=1).k == 2
 
 
 class TestRunExperiment:

@@ -815,6 +815,13 @@ class TestJsonWriter:
         m = CodedMatrix(columns, (np.arange(rows * cols) * (1 - 1j)).reshape(shape))
         assert coded_matrix_to_json(m, EncodeMode.NUMERIC) == reference_encode_json(m, EncodeMode.NUMERIC)
 
+    @pytest.mark.parametrize("labels", [None, (), ("a", "a", "b"), ("ñ", 'q"', "ñ", "✓\t", "\\")])
+    def test_decision_lists(self, labels):
+        # the list is gathered from each distinct label's text
+        n = 3 if labels is None else len(labels)
+        m = CodedMatrix((CodedColumn("x", ColumnSource.NUMERIC),), np.arange(n).reshape(n, 1), decision=labels)
+        assert coded_matrix_to_json(m, EncodeMode.NUMERIC) == reference_encode_json(m, EncodeMode.NUMERIC)
+
     def test_fortran_ordered_data(self):
         columns = tuple(CodedColumn(n, ColumnSource.NUMERIC) for n in "abc")
         m = CodedMatrix(columns, np.asfortranarray(np.arange(12).reshape(4, 3) * (1 + 2j)))

@@ -227,6 +227,35 @@ class TestDataset:
         with pytest.raises(DataError, match=r"column 2 \('c'\): expected a sequence of cells, got the string 'abc'"):
             Dataset(schema, [[1.0, 2.0, 3.0], "abc"])
 
+    def test_a_coded_pair_gives_the_column_it_codes(self, cars):
+        columns = [cars.codes(c.name) if c.role is not Role.NUMERIC else cars.column(c.name)
+                   for c in cars.schema.columns]
+        ds = Dataset(cars.schema, columns)
+        assert same_dataset(ds, cars)
+        assert ds.codes("Color")[0] is cars.codes("Color")[0]  # frozen and owning its data: adopted
+        codes = np.array([0, 1, 0])  # writable: copied, so a later write does not reach the dataset
+        ds = Dataset(make_schema(("c", "nominal"), ("y", "decision")), [(codes, ("a", "b")), (codes, ("P", "Q"))])
+        codes[0] = 1
+        assert (ds.column("c"), ds.decision_labels()) == (["a", "b", "a"], ["P", "Q", "P"])
+
+    @pytest.mark.parametrize("pair, message", [
+        ((np.array([0, 2, 1]), ("a", "b")), r"row 2, column 2 \('c'\): code 2 is not an index of 2 tokens"),
+        ((np.array([0, -1, 1]), ("a", "b")), r"row 2, column 2 \('c'\): code -1 is not an index of 2 tokens"),
+        ((np.array([0, 0, 1]), ("a", "b", "z")), r"column 2 \('c'\): token 'z' is in no cell"),
+        ((np.array([1, 0, 1]), ("a", "b")), r"row 1, column 2 \('c'\): token 'b' is first seen before 'a'"),
+        ((np.array([0, 1, 0]), ("a", "a")), r"column 2 \('c'\): token 'a' is in the vocabulary twice"),
+        ((np.array([0, 1, 0]), ("a", "")), r"row 2, column 2 \('c'\): expected a non-empty token, got ''"),
+        ((np.array([0, 1, 0]), ("a", 5)), r"row 2, column 2 \('c'\): expected a non-empty token, got 5"),
+        ((np.array([0, 1, 0]), ["a", "b"]), r"column 2 \('c'\): the vocabulary must be a tuple, got list"),
+        ((np.array([0, 1, 0], dtype=np.int32), ("a", "b")),
+         r"column 2 \('c'\): codes must be a 1-D intp array, got 1-D int32"),
+        ((np.zeros((3, 1), dtype=np.intp), ("a",)), r"column 2 \('c'\): codes must be a 1-D intp array, got 2-D"),
+    ], ids=["past-the-end", "negative", "unused-token", "late-first-occurrence", "repeated-token",
+            "empty-token", "non-string-token", "list-vocabulary", "int32-codes", "2-d-codes"])
+    def test_a_coded_pair_must_be_one_dataset_codes_gives(self, pair, message):
+        with pytest.raises(DataError, match=f"^{message}"):
+            Dataset(make_schema(("x", "numeric"), ("c", "nominal")), [[1.0, 2.0, 3.0], pair])
+
     def test_first_column_may_not_be_empty(self):
         with pytest.raises(DataError, match="no rows"):
             Dataset(make_schema(("x", "numeric"), ("c", "nominal")), ([], []))
@@ -383,6 +412,9 @@ def csv_tables(draw):
 @example(("a,b\n1,x,\n2\n", make_schema(("a", "numeric"), ("b", "nominal")), None))
 @example(("a,b\r\n1,x\u2028 \u20282,y\x0b\x1c \n", make_schema(("a", "numeric"), ("b", "nominal")), None))
 @example(("a,b\n٣.5,\n.,y\n", make_schema(("a", "numeric"), ("b", "nominal")), "NA"))
+# raw tokens that strip to one, and a missing cell that takes an existing token
+@example(("a,b\n1, a\n2,a\n3,a\t\n", make_schema(("a", "numeric"), ("b", "nominal")), None))
+@example(("a,b\n1,NA\n2,\n3, \n4,y\n", make_schema(("a", "numeric"), ("b", "nominal")), "NA"))
 def test_parse_csv_matches_the_line_by_line_oracle(table):
     text, schema, missing = table
 

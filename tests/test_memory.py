@@ -21,6 +21,7 @@ from complexrank import (
     run_experiment,
     standardize,
 )
+from complexrank import coding
 from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
 ROWS = 20_000
@@ -78,8 +79,8 @@ def test_encode_and_standardize_hold_two_arrays(wide, array_bytes):
 
 
 def test_standardize_holds_only_its_output(wide, array_bytes):
-    # the columns standardize takes its means and sigmas from are a
-    # transposed copy in the output's own buffer, not a second array
+    # standardize scales a block of columns at a time in a scratch of at
+    # most one block, not in a second array
     matrix = encode_dataset(wide, EncodeMode.ONEHOT)
     peak = traced_peak(lambda: standardize(matrix))
     assert peak <= array_bytes + SLACK
@@ -87,6 +88,16 @@ def test_standardize_holds_only_its_output(wide, array_bytes):
 
 def test_an_experiment_holds_two_arrays(wide, array_bytes):
     peak = traced_peak(lambda: run_experiment(wide, [EncodeMode.ONEHOT], repeats=1))
+    assert peak <= 2 * array_bytes + SLACK
+
+
+def test_an_experiment_of_one_restart_per_batch_holds_two_arrays(wide, array_bytes):
+    # one restart's distance block dwarfs a block here, so each restart is a
+    # batch of its own, and the second transposes the working matrix again
+    # for its channel rows
+    k, d = 3, 2 * array_bytes // (16 * ROWS)
+    assert len(list(coding._spans(2, 8 * k * d * ROWS))) == 2
+    peak = traced_peak(lambda: run_experiment(wide, [EncodeMode.ONEHOT], repeats=2))
     assert peak <= 2 * array_bytes + SLACK
 
 
