@@ -147,8 +147,12 @@ class AttributeSchema:
 
 def factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple]:
     """Integer codes of values, and the distinct values in first-occurrence order."""
-    index: dict = {}
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), dtype=np.intp)
+    values = values if isinstance(values, (list, tuple)) else list(values)
+    # the distinct values, then each cell's code, by two loops in C
+    index = dict.fromkeys(values)
+    for code, value in enumerate(index):
+        index[value] = code
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
     codes.flags.writeable = False
     return codes, tuple(index)
 

@@ -13,6 +13,7 @@ from complexrank.dataset import (
     Role,
     cars_csv_path,
     csv_header,
+    factorize,
     parse_csv,
 )
 from .oracles import reference_parse_csv, same_dataset, write_csv
@@ -438,3 +439,18 @@ def test_one_bad_cell_at_the_end_of_a_long_numeric_column(bad):
     with pytest.raises(DataError) as got:
         parse_csv(text, schema)
     assert str(got.value) == str(want.value) == f"row 50000, column 1 ('x'): {bad!r} is not a plain decimal number"
+
+
+NAN = float("nan")
+
+
+@given(st.lists(st.sampled_from(["a", "b", "", 1, 1.0, True, 0, False, -0.0, NAN, float("nan"), np.int64(1)])))
+def test_factorize_codes_by_first_occurrence(values):
+    # the one-cell-at-a-time reference: equal values share a code, the first
+    # of them names it; a NaN object only matches itself
+    index = {}
+    want = [index.setdefault(v, len(index)) for v in values]
+    for given_as in (values, tuple(values), iter(values), np.array(values, dtype=object)):
+        codes, distinct = factorize(given_as)
+        assert codes.dtype == np.intp and codes.tolist() == want and not codes.flags.writeable
+        assert len(distinct) == len(index) and all(a is b for a, b in zip(distinct, index))
