@@ -356,7 +356,7 @@ class CodedMatrix:
         raise DataError(f"unknown coded column: {name!r}")
 
 
-def _coded_columns(dataset: Dataset, mode: EncodeMode | str, books: dict | None = None) -> tuple:
+def _coded_columns(dataset: Dataset, mode: EncodeMode | str, books: dict) -> tuple:
     """The column rules of encode_dataset, which the experiment shares:
     (columns, codebooks, ad hoc maps, cells), cells being the (j, values,
     codes) items _fill writes. The mode's requirements are checked, and two
@@ -373,7 +373,6 @@ def _coded_columns(dataset: Dataset, mode: EncodeMode | str, books: dict | None 
     if mode in (EncodeMode.NOMINAL, EncodeMode.ADHOC, EncodeMode.ONEHOT) and Role.NOMINAL not in roles:
         raise DataError(f"mode {mode.value!r} needs at least one nominal column")
 
-    books = {} if books is None else books
     skipped = {EncodeMode.NUMERIC: Role.NOMINAL, EncodeMode.NOMINAL: Role.NUMERIC}.get(mode)
     columns: list[CodedColumn] = []
     codebooks: list[NominalCodebook] = []
@@ -445,7 +444,7 @@ def encode_dataset(dataset: Dataset, mode: EncodeMode | str) -> CodedMatrix:
     onehot) require at least one nominal column, and numeric requires at
     least one numeric column.
     """
-    columns, codebooks, adhoc_codes, cells = _coded_columns(dataset, mode)
+    columns, codebooks, adhoc_codes, cells = _coded_columns(dataset, mode, {})
     # each column is written in place into the one array the matrix adopts
     data = np.zeros((dataset.n_rows, len(columns)), dtype=np.complex128)
     _fill(data.T, cells)
