@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset, Role, _first_seen, factorize, read_enum, read_field, read_numbers
+from .dataset import DataError, Dataset, Role, factorize, read_enum, read_field, read_numbers
 
 
 def base_rank(n: int) -> float:
@@ -426,11 +426,12 @@ def _scaled_block(dataset: Dataset, mode: EncodeMode | str, books: dict) -> np.n
     mode)).data.T, bit for bit and with their refusals, in one array: each
     coded column is written by encode_dataset's rules into its own
     contiguous row, which standardize's rule (_scale) scales in place.
-    books is as for _coded_columns."""
+    CodedMatrix's finiteness check is not repeated: a Dataset's numbers are
+    finite, and so is every codebook, ad hoc and one-hot value. books is as
+    for _coded_columns."""
     columns, _, _, cells = _coded_columns(dataset, mode, books)
     names = [c.name for c in columns]
     block = _fill(np.zeros((len(columns), dataset.n_rows), dtype=np.complex128), cells)
-    _require_finite(block, names)
     _scale(block, names)
     return block
 
@@ -626,6 +627,19 @@ def _decoded(cells: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
         r = np.flatnonzero(values[codes] != cells)[0]
         raise DataError(f"coded cell at row {r + 1}, {where} is {cells[r]}, which no entry of its map gives")
     return codes
+
+
+def _first_seen(codes: np.ndarray, tokens: Sequence, where: str) -> None:
+    """Require each token to be first seen in `tokens` order, and in some cell."""
+    # the running maximum of the codes steps by one where a token is first seen
+    seen = np.maximum.accumulate(codes)
+    late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
+    if late.size:
+        r = late[0]
+        missing = tokens[seen[r - 1] + 1 if r else 0]
+        if r == len(codes):
+            raise DataError(f"{where}: token {missing!r} is in no cell")
+        raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
 
 
 def _check_coded_cells(matrix: CodedMatrix) -> None:

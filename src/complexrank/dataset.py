@@ -157,41 +157,23 @@ def factorize(values: Iterable[Hashable]) -> tuple[np.ndarray, tuple]:
     return codes, tuple(index)
 
 
-def _first_seen(codes: np.ndarray, tokens: Sequence, where: str) -> None:
-    """Require each token to be first seen in `tokens` order, and in some cell."""
-    # the running maximum of the codes steps by one where a token is first seen
-    seen = np.maximum.accumulate(codes)
-    late = np.flatnonzero(np.diff(seen, prepend=-1, append=len(tokens)) > 1)
-    if late.size:
-        r = late[0]
-        missing = tokens[seen[r - 1] + 1 if r else 0]
-        if r == len(codes):
-            raise DataError(f"{where}: token {missing!r} is in no cell")
-        raise DataError(f"row {r + 1}, {where}: token {tokens[codes[r]]!r} is first seen before {missing!r}")
-
-
-def _is_pair(cells) -> bool:
-    """Whether a column is given as a (codes, vocabulary) pair, not as cells."""
-    return isinstance(cells, tuple) and len(cells) == 2 and isinstance(cells[0], np.ndarray)
-
-
-def _read_pair(pair: tuple, where: str) -> tuple[np.ndarray, tuple]:
-    """The codes and tokens of a (codes, vocabulary) pair, as Dataset.codes
-    gives them: 1-D intp codes into a tuple of tokens, each token first seen
-    in vocabulary order. The codes are adopted if frozen and owning their
-    data, else copied."""
-    codes, vocabulary = pair
-    if codes.dtype != np.intp or codes.ndim != 1:
-        raise DataError(f"{where}: codes must be a 1-D intp array, got {codes.ndim}-D {codes.dtype}")
-    if not isinstance(vocabulary, tuple):
-        raise DataError(f"{where}: the vocabulary must be a tuple, got {type(vocabulary).__name__}")
-    bad = np.flatnonzero((codes < 0) | (codes >= len(vocabulary)))
+def _numbers(values: np.ndarray, where: str) -> np.ndarray:
+    """Refuse a float64 column with a value that is not finite, naming its
+    row; freeze and return the column."""
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise DataError(f"row {bad[0] + 1}, {where}: code {codes[bad[0]]} is not an index of {len(vocabulary)} tokens")
-    _first_seen(codes, vocabulary, where)
-    if codes.flags.writeable or not codes.flags.owndata:
-        codes = codes.copy()
-        codes.flags.writeable = False
+        raise DataError(f"row {bad[0] + 1}, {where}: number must be finite")
+    values.flags.writeable = False
+    return values
+
+
+def _tokens(codes: np.ndarray, vocabulary: tuple, where: str) -> tuple[np.ndarray, tuple]:
+    """Refuse a coded column with a token that is not a non-empty str,
+    naming the first row that holds one; return the column."""
+    for c, token in enumerate(vocabulary):
+        if not isinstance(token, str) or not token:
+            r = int(np.argmax(codes == c)) + 1
+            raise DataError(f"row {r}, {where}: expected a non-empty token, got {reprlib.repr(token)}")
     return codes, vocabulary
 
 
@@ -199,12 +181,10 @@ class Dataset:
     """A table whose cells have been validated once against a schema.
 
     The constructor takes one sequence of cells per schema column, all of
-    the same length; a nominal or decision column may instead be the
-    (codes, vocabulary) pair that `codes` returns. Cells are stored by
-    column as read-only (values, vocabulary) pairs. A numeric column is a
-    float64 array with vocabulary None; a nominal or decision column is an
-    array of integer codes into its vocabulary, the distinct tokens in
-    first-occurrence order.
+    the same length. Cells are stored by column as read-only (values,
+    vocabulary) pairs. A numeric column is a float64 array with vocabulary
+    None; a nominal or decision column is an array of integer codes into
+    its vocabulary, the distinct tokens in first-occurrence order.
     """
 
     def __init__(self, schema: AttributeSchema, columns: Sequence[Sequence[Cell]]) -> None:
@@ -214,38 +194,33 @@ class Dataset:
             missing = (f"column {len(columns) + 1} ({schema.columns[len(columns)].name!r}) has none"
                        if len(columns) < width else f"column {width + 1} has no schema entry")
             raise DataError(f"expected {width} columns, found {len(columns)}: {missing}")
-        pairs = [c.role is not Role.NUMERIC and _is_pair(cells) for c, cells in zip(schema.columns, columns)]
-        n_rows = len(columns[0][0] if pairs[0] else columns[0])
+        n_rows = len(columns[0])
         if not n_rows:
             raise DataError("dataset has no rows")
         stored: list = []
-        for j, (col, cells, pair) in enumerate(zip(schema.columns, columns, pairs), start=1):
+        for j, (col, cells) in enumerate(zip(schema.columns, columns), start=1):
             where = f"column {j} ({col.name!r})"
             if isinstance(cells, str):
                 raise DataError(f"{where}: expected a sequence of cells, got the string {cells!r}")
-            size = len(cells[0] if pair else cells)
-            if size != n_rows:
-                raise DataError(f"{where}: expected {n_rows} cells, found {size}")
+            if len(cells) != n_rows:
+                raise DataError(f"{where}: expected {n_rows} cells, found {len(cells)}")
             if col.role is Role.NUMERIC:
-                values = read_numbers(cells, lambda r: f"row {r + 1}, {where}")
-                bad = np.flatnonzero(~np.isfinite(values))
-                if bad.size:
-                    raise DataError(f"row {bad[0] + 1}, {where}: number must be finite")
-                values.flags.writeable = False
-                stored.append((values, None))
+                stored.append((_numbers(read_numbers(cells, lambda r: f"row {r + 1}, {where}"), where), None))
                 continue
-            codes, vocabulary = _read_pair(cells, where) if pair else factorize(cells)
-            for c, token in enumerate(vocabulary):
-                if not isinstance(token, str) or not token:
-                    r = int(np.argmax(codes == c)) + 1
-                    raise DataError(f"row {r}, {where}: expected a non-empty token, got {token!r}")
-            if pair and len(set(vocabulary)) < len(vocabulary):
-                t = next(t for i, t in enumerate(vocabulary) if t in vocabulary[:i])
-                raise DataError(f"{where}: token {t!r} is in the vocabulary twice")
-            stored.append((codes, vocabulary))
+            try:
+                codes, vocabulary = factorize(cells)
+            except TypeError:  # an unhashable cell, which is no token: name the first bad cell
+                _tokens(np.arange(n_rows), tuple(cells), where)
+                raise
+            stored.append(_tokens(codes, vocabulary, where))
+        self._keep(schema, stored)
+
+    def _keep(self, schema: AttributeSchema, stored: list) -> "Dataset":
+        """Hold columns already checked and in stored form; return self."""
         self.schema = schema
-        self.n_rows = n_rows
+        self.n_rows = len(stored[0][0])
         self._columns = tuple(stored)
+        return self
 
     def numeric(self, name: str) -> np.ndarray:
         """The float64 array of a numeric column."""
@@ -335,10 +310,11 @@ def parse_csv(
             try:
                 if not _NUMBER_CHARS.fullmatch("\n".join(cells)):
                     raise ValueError
-                columns.append(list(map(float, cells)))
+                values = np.fromiter(map(float, cells), np.float64, len(cells))
             except ValueError:
                 r, cell = next((r, c) for r, c in enumerate(map(str.strip, cells), 1) if not _NUMBER.fullmatch(c))
                 raise DataError(f"row {r}, {where}: {cell!r} is not a plain decimal number") from None
+            columns.append((_numbers(values, where), None))
             continue
         # each distinct raw cell is stripped once; tokens that strip to one
         # text are merged, the first seen first, and so is a missing cell
@@ -353,8 +329,9 @@ def parse_csv(
         if len(vocabulary) < len(raw):
             codes = merged[codes]
             codes.flags.writeable = False
-        columns.append((codes, vocabulary))
-    return Dataset(schema, columns)
+        columns.append(_tokens(codes, vocabulary, where))
+    # every column is finished and checked, so Dataset's cell checks are skipped
+    return Dataset.__new__(Dataset)._keep(schema, columns)
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

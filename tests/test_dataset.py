@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestParseCsv:
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(DataError):
                 parse_csv(f"x\n{bad}\n", make_schema(("x", "numeric")))
+
+    def test_number_that_overflows_rejected(self):
+        with pytest.raises(DataError, match=r"^row 2, column 1 \('x'\): number must be finite$"):
+            parse_csv("x,y\n1,a\n" + "9" * 400 + ",b\n", make_schema(("x", "numeric"), ("y", "nominal")))
+
+    @pytest.mark.parametrize("missing, shown", [("", "''"), (5, "5")])
+    def test_missing_as_category_must_be_a_non_empty_token(self, missing, shown):
+        with pytest.raises(DataError, match=rf"^row 2, column 2 \('y'\): expected a non-empty token, got {shown}$"):
+            parse_csv("x,y\n1,a\n2,\n", make_schema(("x", "numeric"), ("y", "nominal")), missing_as_category=missing)
 
     def test_header_mismatch(self):
         with pytest.raises(DataError, match="header"):
@@ -228,34 +238,26 @@ class TestDataset:
         with pytest.raises(DataError, match=r"column 2 \('c'\): expected a sequence of cells, got the string 'abc'"):
             Dataset(schema, [[1.0, 2.0, 3.0], "abc"])
 
-    def test_a_coded_pair_gives_the_column_it_codes(self, cars):
-        columns = [cars.codes(c.name) if c.role is not Role.NUMERIC else cars.column(c.name)
-                   for c in cars.schema.columns]
-        ds = Dataset(cars.schema, columns)
-        assert same_dataset(ds, cars)
-        assert ds.codes("Color")[0] is cars.codes("Color")[0]  # frozen and owning its data: adopted
-        codes = np.array([0, 1, 0])  # writable: copied, so a later write does not reach the dataset
-        ds = Dataset(make_schema(("c", "nominal"), ("y", "decision")), [(codes, ("a", "b")), (codes, ("P", "Q"))])
-        codes[0] = 1
-        assert (ds.column("c"), ds.decision_labels()) == (["a", "b", "a"], ["P", "Q", "P"])
+    @pytest.mark.parametrize("cell, shown", [
+        ("", "''"), (None, "None"), (5, "5"), (b"a", "b'a'"), (["a"], "['a']"), ({"a": 1}, "{'a': 1}"),
+    ], ids=["empty", "none", "int", "bytes", "list", "dict"])
+    def test_nominal_cell_must_be_a_non_empty_token(self, cell, shown):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"))
+        for column, row in (([cell, "b"], 1), (["b", "b", cell], 3)):
+            message = rf"^row {row}, column 2 \('c'\): expected a non-empty token, got {re.escape(shown)}$"
+            with pytest.raises(DataError, match=message):
+                Dataset(schema, [[1.0] * len(column), column])
 
-    @pytest.mark.parametrize("pair, message", [
-        ((np.array([0, 2, 1]), ("a", "b")), r"row 2, column 2 \('c'\): code 2 is not an index of 2 tokens"),
-        ((np.array([0, -1, 1]), ("a", "b")), r"row 2, column 2 \('c'\): code -1 is not an index of 2 tokens"),
-        ((np.array([0, 0, 1]), ("a", "b", "z")), r"column 2 \('c'\): token 'z' is in no cell"),
-        ((np.array([1, 0, 1]), ("a", "b")), r"row 1, column 2 \('c'\): token 'b' is first seen before 'a'"),
-        ((np.array([0, 1, 0]), ("a", "a")), r"column 2 \('c'\): token 'a' is in the vocabulary twice"),
-        ((np.array([0, 1, 0]), ("a", "")), r"row 2, column 2 \('c'\): expected a non-empty token, got ''"),
-        ((np.array([0, 1, 0]), ("a", 5)), r"row 2, column 2 \('c'\): expected a non-empty token, got 5"),
-        ((np.array([0, 1, 0]), ["a", "b"]), r"column 2 \('c'\): the vocabulary must be a tuple, got list"),
-        ((np.array([0, 1, 0], dtype=np.int32), ("a", "b")),
-         r"column 2 \('c'\): codes must be a 1-D intp array, got 1-D int32"),
-        ((np.zeros((3, 1), dtype=np.intp), ("a",)), r"column 2 \('c'\): codes must be a 1-D intp array, got 2-D"),
-    ], ids=["past-the-end", "negative", "unused-token", "late-first-occurrence", "repeated-token",
-            "empty-token", "non-string-token", "list-vocabulary", "int32-codes", "2-d-codes"])
-    def test_a_coded_pair_must_be_one_dataset_codes_gives(self, pair, message):
-        with pytest.raises(DataError, match=f"^{message}"):
-            Dataset(make_schema(("x", "numeric"), ("c", "nominal")), [[1.0, 2.0, 3.0], pair])
+    @pytest.mark.parametrize("route", ["cells", "csv"])
+    def test_columns_are_stored_read_only(self, route):
+        schema = make_schema(("x", "numeric"), ("c", "nominal"), ("y", "decision"))
+        # the CSV's " a " strips to "a", so its codes come from the merge
+        ds = (Dataset(schema, [[1.0, 2.0], ["a", "a"], ["P", "Q"]]) if route == "cells"
+              else parse_csv("x,c,y\n1,a,P\n2, a ,Q\n", schema))
+        arrays = [ds.numeric("x"), ds.codes("c")[0], ds.codes("y")[0]]
+        assert [a.dtype for a in arrays] == [np.float64, np.intp, np.intp]
+        assert not any(a.flags.writeable for a in arrays)
+        assert (ds.column("x"), ds.column("c"), ds.decision_labels()) == ([1.0, 2.0], ["a", "a"], ["P", "Q"])
 
     def test_first_column_may_not_be_empty(self):
         with pytest.raises(DataError, match="no rows"):
