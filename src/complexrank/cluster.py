@@ -303,10 +303,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
 
     work is the (n, d) real matrix, centroids the (R, k, d) starts and
     channels a list holding work's channel rows, the C-order (d, n)
-    transpose of work, which _lloyd pops, overwrites and frees before its
-    inertia step. The caller keeps no other reference to them; an array
-    passed as an argument would stay referenced by the calling frame until
-    the call returns on Python 3.10.
+    transpose of work, which _lloyd pops, overwrites and, for R = 1, takes
+    as its inertia step's gathered rows. The caller keeps no other reference
+    to them; an array passed as an argument would stay referenced by the
+    calling frame until the call returns on Python 3.10.
     Each restart runs exactly as it would alone: the live restarts drop
     one as soon as its assignments repeat, and the restarts that emptied
     cluster c reseed it side by side, c in ascending order. Returns per-restart
@@ -336,12 +336,12 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
     # contiguous row, its nonzero channels moved to the front; for d = 1 a
     # cluster's mean sums its contiguous column pairwise, which a bincount
     # would not reproduce, so d = 1 keeps the mean
-    columns = channels.pop()
-    nz = np.flatnonzero(columns.any(axis=1))
+    rows = channels.pop()
+    nz = np.flatnonzero(rows.any(axis=1))
     for i, j in enumerate(nz):  # i <= j, so no row is overwritten before it moves
         if i != j:
-            columns[i] = columns[j]
-    columns = columns[: nz.size]
+            rows[i] = rows[j]
+    columns = rows[: nz.size]
     weights = np.tile(columns, R) if R > 1 else columns  # its first m n columns serve m restarts
     # a block of rows is one column slice of the screen's product over all live restarts
     sq = np.einsum("nd,nd->n", work, work)
@@ -433,9 +433,9 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
             cents = _bincount_means(weights[:, : m * n], nz, d, (new + offsets[:m]).ravel(), m, k)
     else:  # max_iterations ran out on the restarts still live
         centroids[live], assignments[live], iterations[live] = cents, last, max_iterations
-    del columns, weights  # before the inertia step, whose gathered rows are the second n x d array
-
-    diff = centroids.reshape(R * k, d)[assignments + offsets]
+    # R > 1 only where R n d floats fit a block / k, so only R = 1 reuses the channel rows
+    out = rows.reshape(1, n, d) if R == 1 else None
+    diff = np.take(centroids.reshape(R * k, d), assignments + offsets, axis=0, out=out, mode="clip")
     np.subtract(work, diff, out=diff)
     inertia = np.einsum("rnd,rnd->r", diff, diff)
     return assignments, centroids, inertia, iterations, converged, reseeds
