@@ -54,8 +54,8 @@ def derive_run_seed(master_seed: int, condition_index: int, run_index: int) -> i
     """Deterministic per-run seed, decorrelated across conditions and runs.
 
     Each argument is an integer in [0, 2**64), since the chain mixes
-    them as 64-bit words; a uint64 array of run indices gives the array
-    of their seeds.
+    them as 64-bit words; uint64 arrays of condition or run indices give
+    the broadcast array of their seeds.
     """
     words = []
     for name, value in zip(("master_seed", "condition_index", "run_index"), (master_seed, condition_index, run_index)):
@@ -281,8 +281,7 @@ def kmeans(
     # finite data can still overflow float64 in a distance or a cluster
     # sum; the result is checked instead of warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
-        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(
-            work, start, max_iterations, [_transpose_into(np.empty(work.shape[::-1]), work)])
+        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(work, start, max_iterations, [])
     if not (np.isfinite(centroids).all() and np.isfinite(inertia[0])):
         raise DataError("k-means overflowed: the data is too large in modulus for float64 distances and means")
     centroids = centroids[0]
@@ -302,11 +301,10 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
     """Lloyd's algorithm from each of R starts at once; `kmeans` is R = 1.
 
     work is the (n, d) real matrix, centroids the (R, k, d) starts and
-    channels a list holding work's channel rows, the C-order (d, n)
-    transpose of work, which _lloyd pops, overwrites and, for R = 1, takes
-    as its inertia step's gathered rows. The caller keeps no other reference
-    to them; an array passed as an argument would stay referenced by the
-    calling frame until the call returns on Python 3.10.
+    channels a list that hands over work's channel rows once: the C-order
+    (d, n) transpose of work, which _lloyd pops, overwrites and, for R = 1,
+    takes as its inertia step's gathered rows. Given an empty list, _lloyd
+    transposes work into them itself.
     Each restart runs exactly as it would alone: the live restarts drop
     one as soon as its assignments repeat, and the restarts that emptied
     cluster c reseed it side by side, c in ascending order. Returns per-restart
@@ -336,7 +334,7 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
     # contiguous row, its nonzero channels moved to the front; for d = 1 a
     # cluster's mean sums its contiguous column pairwise, which a bincount
     # would not reproduce, so d = 1 keeps the mean
-    rows = channels.pop()
+    rows = channels.pop() if channels else _transpose_into(np.empty(work.shape[::-1]), work)
     nz = np.flatnonzero(rows.any(axis=1))
     for i, j in enumerate(nz):  # i <= j, so no row is overwritten before it moves
         if i != j:
@@ -726,8 +724,8 @@ def run_experiment(
         raise ValueError("at least one condition is required")
     if len(set(conditions)) < len(conditions):
         raise ValueError(f"each condition may be given once, got {[mode.value for mode in conditions]}")
-    run_indices = np.arange(repeats, dtype=np.uint64)
-    seeds = np.stack([derive_run_seed(master_seed, ci, run_indices) for ci in range(len(conditions))])
+    seeds = derive_run_seed(master_seed, np.arange(len(conditions), dtype=np.uint64)[:, None],
+                            np.arange(repeats, dtype=np.uint64))
     label_codes, vocabulary = dataset.codes(decision.name)
     n, k = len(label_codes), len(vocabulary)
     # every condition's starts in one draw; all runs' count tables matched at once
@@ -740,8 +738,7 @@ def run_experiment(
         # distance scratch and the inertia step's temporaries stay within a
         # block (a batch of one restart splits its rows into blocks)
         for s in _spans(repeats, 8 * k * work.shape[1] * n):
-            # the first batch pops the block's channel rows; a later one transposes work again
-            channels = channels or [_transpose_into(np.empty(work.shape[::-1]), work)]
+            # the first batch pops the block's channel rows; a later one's _lloyd transposes work again
             result = _lloyd(work, work[starts[ci, s]], _MAX_ITERATIONS, channels)
             tables.append(_count_tables(result[0], label_codes, k, k))
             inertias[ci, s], iterations[ci, s] = result[2:4]

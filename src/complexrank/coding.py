@@ -213,6 +213,13 @@ class ColumnScaling:
     mean: complex
     sigma: float
 
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "mean": {"re": self.mean.real, "im": self.mean.imag},
+            "sigma": {"re": self.sigma, "im": self.sigma},
+        }
+
 
 # bytes per block of every blocked pass; k-means counts a block of (restart,
 # row) pairs as their n x k x d broadcast. It bounds each exact chunk's
@@ -292,17 +299,6 @@ def _require_distinct(columns: Sequence[CodedColumn]) -> None:
             raise DataError(f"coded columns {seen[c.name]} and {i} are both named {c.name!r}")
 
 
-def _require_finite(columns: np.ndarray, names: Sequence[str]) -> None:
-    """Refuse a complex (columns, cells) array, or a transposed view of
-    one, with a cell that is not finite; the first by row, then by column,
-    is named."""
-    if not np.isfinite(columns).all():
-        bad = ~np.isfinite(columns)
-        r = int(bad.any(axis=0).argmax())
-        c = int(bad[:, r].argmax())
-        raise DataError(f"coded cell at row {r + 1}, column {c + 1} ({names[c]!r}) is not finite: {columns[c, r]}")
-
-
 @dataclass(frozen=True, eq=False)
 class CodedMatrix:
     """A fully numeric view of a dataset, one complex value per cell.
@@ -334,7 +330,10 @@ class CodedMatrix:
         if self.decision is not None and len(self.decision) != data.shape[0]:
             raise ValueError("decision labels must match the number of rows")
         _require_distinct(self.columns)
-        _require_finite(data.T, [c.name for c in self.columns])
+        if not np.isfinite(data).all():  # the first bad cell by row, then by column
+            r, c = np.argwhere(~np.isfinite(data))[0]
+            where = f"coded cell at row {r + 1}, column {c + 1} ({self.columns[c].name!r})"
+            raise DataError(f"{where} is not finite: {data[r, c]}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -490,23 +489,14 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
 
 
 def _json_fields(matrix: CodedMatrix) -> tuple[dict, dict]:
-    """The JSON fields of a coded matrix that come before "rows" and after it."""
-    scaling = None
-    if matrix.scaling is not None:
-        scaling = [
-            {
-                "name": s.name,
-                "mean": {"re": s.mean.real, "im": s.mean.imag},
-                "sigma": {"re": s.sigma, "im": s.sigma},
-            }
-            for s in matrix.scaling
-        ]
+    """The JSON fields of a coded matrix that come before "rows" and after
+    it, for the writers only: the reader checks each field as it reads it."""
     head = {"columns": [{"name": c.name, "source": c.source.value} for c in matrix.columns]}
     tail = {
         "decision": list(matrix.decision) if matrix.decision is not None else None,
         "codebooks": [cb.to_json_dict() for cb in matrix.codebooks],
         "adhoc_codes": matrix.adhoc_codes,
-        "scaling": scaling,
+        "scaling": None if matrix.scaling is None else [s.to_json_dict() for s in matrix.scaling],
     }
     return head, tail
 
@@ -607,7 +597,8 @@ def _require_same(stored: dict, derived: dict, where: str, prefix: str = "") -> 
 
 
 def _read_scaling(s: dict, column: str) -> ColumnScaling:
-    """A scaling entry's finite mean and finite, positive sigma (its re half)."""
+    """A scaling entry's finite mean and finite, positive sigma (its re half);
+    every other field must be the one the writer derives from them."""
     where = f"scaling of column {column!r}"
     mean, sigma = read_field(s, "mean", dict, where), read_field(s, "sigma", dict, where)
     re, im, sigma = read_numbers([mean.get("re"), mean.get("im"), sigma.get("re")],
@@ -616,7 +607,9 @@ def _read_scaling(s: dict, column: str) -> ColumnScaling:
         raise DataError(f"{where}: sigma {sigma!r} is not finite and positive")
     if not (math.isfinite(re) and math.isfinite(im)):
         raise DataError(f"{where}: mean {complex(re, im)!r} is not finite")
-    return ColumnScaling(column, complex(re, im), sigma)
+    scaling = ColumnScaling(column, complex(re, im), sigma)
+    _require_same(s, scaling.to_json_dict(), where)
+    return scaling
 
 
 def _decoded(cells: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
@@ -742,6 +735,7 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         if not read_field(stored_adhoc, name, dict, "ad hoc codes"):
             raise DataError(f"ad hoc codes: {name} has no tokens")
         adhoc_codes[name] = adhoc_codebook(stored_adhoc[name])
+    _require_same(stored_adhoc, adhoc_codes, "ad hoc codes")
     scaling = doc.get("scaling")
     if scaling is not None:
         scaling = read_field(doc, "scaling", list, "coded matrix")
@@ -758,9 +752,5 @@ def coded_matrix_from_json_dict(doc: dict) -> CodedMatrix:
         adhoc_codes=adhoc_codes,
         scaling=scaling,
     )
-    _, tail = _json_fields(matrix)
-    _require_same(stored_adhoc, tail["adhoc_codes"], "ad hoc codes")
-    for c, stored, derived in zip(columns, doc.get("scaling") or (), tail["scaling"] or ()):
-        _require_same(stored, derived, f"scaling of column {c.name!r}")
     _check_coded_cells(matrix)
     return matrix

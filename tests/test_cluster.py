@@ -647,6 +647,26 @@ class TestBatchedRestarts:
         assert all(t > f for t, f in zip(total, first))
         assert_restarts_match_the_oracle(data, 7, seeds, 100, groups)
 
+    @pytest.mark.parametrize("seeds", [[3], list(range(12))])  # R = 1, and a batch; both reseed
+    @pytest.mark.parametrize("four_rows", [False, True])
+    def test_an_empty_channel_list_transposes_work(self, seeds, four_rows):
+        # kmeans and the experiment's later restart batches hand _lloyd an
+        # empty list, and it builds the channel rows the caller would have
+        # handed over; five points, each repeated three times, so that
+        # starts on equal points empty a cluster
+        rng = np.random.default_rng(0)
+        data = np.repeat(rng.integers(-2, 3, size=(5, 4)).astype(float), 3, axis=0)
+        n, (k, d) = len(data), (3, 4)
+        starts = data[cluster._start(n, k, seeds)]
+        with pytest.MonkeyPatch.context() as mp:
+            if four_rows:  # four rows of every restart in a block
+                mp.setattr(coding, "_BLOCK_BYTES", 4 * 8 * k * d * len(seeds))
+            handed = cluster._lloyd(data, starts, 100, [coding._transpose_into(np.empty((d, n)), data)])
+            built = cluster._lloyd(data, starts, 100, [])
+        assert handed[5].any() and (len(seeds) == 1 or not handed[5].all())
+        for a, b in zip(handed, built):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
     @pytest.mark.parametrize("cap", [1, 2, 3])
     @pytest.mark.parametrize("groups", [None, 2])
     def test_restarts_stopping_at_different_steps_in_one_batch(self, cap, groups):
@@ -705,8 +725,8 @@ class TestBatchedRestarts:
 
 
 def lloyd(work, starts, cap):
-    """cluster._lloyd from the (R, k, d) starts, given work's channel rows as kmeans gives them."""
-    return cluster._lloyd(work, starts, cap, [coding._transpose_into(np.empty(work.shape[::-1]), work)])
+    """cluster._lloyd from the (R, k, d) starts, handed an empty channel list as kmeans hands it."""
+    return cluster._lloyd(work, starts, cap, [])
 
 
 def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):

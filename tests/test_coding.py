@@ -328,6 +328,17 @@ class TestSerialization:
         assert again.scaling == m.scaling
         assert np.array_equal(again.data, m.data)
 
+    @pytest.mark.parametrize("mode", list(EncodeMode))
+    def test_scaling_entries_are_their_column_scalings(self, cars, mode):
+        # the writer writes each entry, and the reader checks it, as ColumnScaling.to_json_dict gives it
+        m = standardize(encode_dataset(cars, mode))
+        entries = coded_matrix_to_json_dict(m)["scaling"]
+        assert entries == [s.to_json_dict() for s in m.scaling]
+        for s, entry in zip(m.scaling, entries, strict=True):
+            assert entry == {"name": s.name, "mean": {"re": s.mean.real, "im": s.mean.imag},
+                             "sigma": {"re": s.sigma, "im": s.sigma}}
+        assert coded_matrix_from_json_dict(coded_matrix_to_json_dict(m)).scaling == m.scaling
+
     def test_unequal_sigma_pair_rejected_on_read(self, cars):
         from complexrank import standardize
 
