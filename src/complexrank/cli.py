@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="repeated clustering across encodings")
     add_io(p_exp, input_required=False)
-    # parser-level defaults override the argument-level None of add_io
-    p_exp.set_defaults(input=cars_csv_path(), schema=cars_schema_path())
     p_exp.add_argument("--repeats", type=_positive_int, default=20)
     p_exp.add_argument("--seed", type=_master_seed, default=0, help="master seed, below 2**64")
     p_exp.add_argument(
@@ -243,6 +241,10 @@ def cmd_cluster(args) -> tuple[str, str]:
 
 
 def cmd_experiment(args) -> tuple[str, str | None]:
+    if (args.input is None) != (args.schema is None):
+        raise UsageError("--input and --schema go together; the bundled cars table is used only when both are left out")
+    if args.input is None:
+        args.input, args.schema = cars_csv_path(), cars_schema_path()
     report = run_experiment(
         _load_dataset(args),
         conditions=args.conditions,

@@ -64,6 +64,8 @@ def derive_run_seed(master_seed: int, condition_index: int, run_index: int) -> i
             value = operator.index(value)
             if not 0 <= value <= _M64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        elif value.dtype != np.uint64:  # another dtype would fail or wrap inside numpy
+            raise ValueError(f"{name} must be a uint64 array, got {value.dtype}")
         words.append(value)
     master_seed, condition_index, run_index = words
     s = splitmix64(master_seed)
@@ -281,7 +283,8 @@ def kmeans(
     # finite data can still overflow float64 in a distance or a cluster
     # sum; the result is checked instead of warning mid-loop
     with np.errstate(over="ignore", invalid="ignore"):
-        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(work, start, max_iterations, [])
+        assignments, centroids, inertia, iterations, converged, reseeds = _lloyd(
+            work, np.empty(work.shape[::-1]), start, max_iterations)
     if not (np.isfinite(centroids).all() and np.isfinite(inertia[0])):
         raise DataError("k-means overflowed: the data is too large in modulus for float64 distances and means")
     centroids = centroids[0]
@@ -296,15 +299,14 @@ def kmeans(
     )
 
 
-def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
-           channels: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _lloyd(work: np.ndarray, rows: np.ndarray, centroids: np.ndarray,
+           max_iterations: int) -> tuple[np.ndarray, ...]:
     """Lloyd's algorithm from each of R starts at once; `kmeans` is R = 1.
 
-    work is the (n, d) real matrix, centroids the (R, k, d) starts and
-    channels a list that hands over work's channel rows once: the C-order
-    (d, n) transpose of work, which _lloyd pops, overwrites and, for R = 1,
-    takes as its inertia step's gathered rows. Given an empty list, _lloyd
-    transposes work into them itself.
+    work is the (n, d) real matrix, rows a C-order (d, n) float64 buffer
+    and centroids the (R, k, d) starts. _lloyd transposes work into rows,
+    its channel rows, and overwrites them: for R = 1 they take the
+    inertia step's gathered rows.
     Each restart runs exactly as it would alone: the live restarts drop
     one as soon as its assignments repeat, and the restarts that emptied
     cluster c reseed it side by side, c in ascending order. Returns per-restart
@@ -334,7 +336,7 @@ def _lloyd(work: np.ndarray, centroids: np.ndarray, max_iterations: int,
     # contiguous row, its nonzero channels moved to the front; for d = 1 a
     # cluster's mean sums its contiguous column pairwise, which a bincount
     # would not reproduce, so d = 1 keeps the mean
-    rows = channels.pop() if channels else _transpose_into(np.empty(work.shape[::-1]), work)
+    _transpose_into(rows, work)
     nz = np.flatnonzero(rows.any(axis=1))
     for i, j in enumerate(nz):  # i <= j, so no row is overwritten before it moves
         if i != j:
@@ -680,26 +682,6 @@ DEFAULT_CONDITIONS = (
 )
 
 
-def _layouts(dataset: Dataset, mode: EncodeMode, books: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One condition's (n, 2c) real working matrix and its (2c, n) channel
-    rows, real_expansion(standardize(encode_dataset(dataset, mode)).data)
-    and its transpose bit for bit, with their refusals, in two arrays.
-
-    One tiled transpose writes the working matrix from the condition's
-    scaled (c, n) block (_scaled_block, with the experiment's books); each
-    row of the block, (re, im, re, im, ...), is then split in place into
-    its re and its im channel row.
-    """
-    block = _scaled_block(dataset, mode, books)
-    work = _transpose_into(np.empty(block.shape[::-1], dtype=np.complex128), block).view(np.float64)
-    n, interleaved = dataset.n_rows, block.view(np.float64)
-    scratch = np.empty(2 * n)
-    for row in interleaved:
-        scratch[:] = row
-        row[:n], row[n:] = scratch[0::2], scratch[1::2]
-    return work, interleaved.reshape(-1, n)
-
-
 def run_experiment(
     dataset: Dataset,
     conditions: Sequence[EncodeMode | str] = DEFAULT_CONDITIONS,
@@ -733,16 +715,19 @@ def run_experiment(
     tables, inertias, iterations = [], np.empty(seeds.shape), np.empty(seeds.shape, dtype=np.intp)
     books: dict = {}  # each nominal column's codebook, built once for every condition
     for ci, mode in enumerate(conditions):
-        work, *channels = _layouts(dataset, mode, books)
+        # the condition's scaled (c, n) block, transposed once into the (n, 2c)
+        # working matrix, is then every batch's buffer for its (2c, n) channel rows
+        block = _scaled_block(dataset, mode, books)
+        work = _transpose_into(np.empty(block.shape[::-1], dtype=np.complex128), block).view(np.float64)
+        rows = block.view(np.float64).reshape(-1, n)
         # restarts per batch: as many as one distance block holds, so the
         # distance scratch and the inertia step's temporaries stay within a
         # block (a batch of one restart splits its rows into blocks)
         for s in _spans(repeats, 8 * k * work.shape[1] * n):
-            # the first batch pops the block's channel rows; a later one's _lloyd transposes work again
-            result = _lloyd(work, work[starts[ci, s]], _MAX_ITERATIONS, channels)
+            result = _lloyd(work, rows, work[starts[ci, s]], _MAX_ITERATIONS)
             tables.append(_count_tables(result[0], label_codes, k, k))
             inertias[ci, s], iterations[ci, s] = result[2:4]
-        del work  # so that the next condition's block and working matrix are the two arrays
+        del work, block, rows  # so that the next condition's block and working matrix are the two arrays
     accuracies = _max_matchings(np.concatenate(tables)).reshape(seeds.shape) / n
     columns = [c.tolist() for c in (seeds, accuracies, inertias, iterations)]
     return ExperimentReport(

@@ -512,6 +512,22 @@ class TestExperimentCommand:
         assert code == 2
         assert "decision" in err
 
+    @pytest.mark.parametrize("given", ["--input", "--schema"])
+    def test_input_or_schema_alone_is_a_usage_error(self, capsys, tmp_path, given):
+        # either one alone was read against the bundled cars file of the other
+        csv = tmp_path / "x.csv"
+        csv.write_text("x,t,y\n1,p,A\n2,q,B\n3,p,A\n")
+        schema = tmp_path / "x.schema.json"
+        schema.write_text(json.dumps({"columns": [{"name": "x", "role": "numeric"}, {"name": "t", "role": "nominal"},
+                                                  {"name": "y", "role": "decision"}]}))
+        path = csv if given == "--input" else schema
+        assert run(capsys, ["experiment", given, str(path)]) == (
+            1, "", "complexrank: error: --input and --schema go together; "
+            "the bundled cars table is used only when both are left out\n"
+        )
+        code, out, _ = run(capsys, ["experiment", "--input", str(csv), "--schema", str(schema), "--repeats", "2"])
+        assert code == 0 and out.startswith("Accuracy of 2 clustering runs")
+
     def test_colliding_coded_column_names_are_a_data_error(self, capsys, tmp_path):
         # numeric "a=x" and the one-hot column of nominal a's token x
         csv = tmp_path / "c.csv"

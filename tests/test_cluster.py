@@ -647,26 +647,6 @@ class TestBatchedRestarts:
         assert all(t > f for t, f in zip(total, first))
         assert_restarts_match_the_oracle(data, 7, seeds, 100, groups)
 
-    @pytest.mark.parametrize("seeds", [[3], list(range(12))])  # R = 1, and a batch; both reseed
-    @pytest.mark.parametrize("four_rows", [False, True])
-    def test_an_empty_channel_list_transposes_work(self, seeds, four_rows):
-        # kmeans and the experiment's later restart batches hand _lloyd an
-        # empty list, and it builds the channel rows the caller would have
-        # handed over; five points, each repeated three times, so that
-        # starts on equal points empty a cluster
-        rng = np.random.default_rng(0)
-        data = np.repeat(rng.integers(-2, 3, size=(5, 4)).astype(float), 3, axis=0)
-        n, (k, d) = len(data), (3, 4)
-        starts = data[cluster._start(n, k, seeds)]
-        with pytest.MonkeyPatch.context() as mp:
-            if four_rows:  # four rows of every restart in a block
-                mp.setattr(coding, "_BLOCK_BYTES", 4 * 8 * k * d * len(seeds))
-            handed = cluster._lloyd(data, starts, 100, [coding._transpose_into(np.empty((d, n)), data)])
-            built = cluster._lloyd(data, starts, 100, [])
-        assert handed[5].any() and (len(seeds) == 1 or not handed[5].all())
-        for a, b in zip(handed, built):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
     @pytest.mark.parametrize("cap", [1, 2, 3])
     @pytest.mark.parametrize("groups", [None, 2])
     def test_restarts_stopping_at_different_steps_in_one_batch(self, cap, groups):
@@ -725,8 +705,8 @@ class TestBatchedRestarts:
 
 
 def lloyd(work, starts, cap):
-    """cluster._lloyd from the (R, k, d) starts, handed an empty channel list as kmeans hands it."""
-    return cluster._lloyd(work, starts, cap, [])
+    """cluster._lloyd from the (R, k, d) starts, handed a new channel-row buffer as kmeans hands it."""
+    return cluster._lloyd(work, np.empty(work.shape[::-1]), starts, cap)
 
 
 def assert_restarts_match_the_oracle(data, k, seeds, cap, groups, extreme=False):
@@ -1100,6 +1080,16 @@ class TestSeedDerivation:
         with pytest.raises(ValueError, match=f"{name} must be in"):
             derive_run_seed(*args)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint32, np.int8, object])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_arrays_that_are_not_uint64(self, dtype, at):
+        # int64 overflowed and float64 failed in bitwise_xor, inside numpy
+        args = [3, 1, 7]
+        args[at] = np.array([0, 5], dtype=dtype)
+        name = ("master_seed", "condition_index", "run_index")[at]
+        with pytest.raises(ValueError, match=f"^{name} must be a uint64 array, got {np.dtype(dtype)}$"):
+            derive_run_seed(*args)
+
     def test_every_coordinate_matters(self):
         base = derive_run_seed(3, 1, 7)
         assert derive_run_seed(4, 1, 7) != base
@@ -1170,8 +1160,8 @@ def block_tables(draw):
 
 class TestConditionBlock:
     """run_experiment codes and scales each condition in one column-major
-    block; its working matrix and channel rows must be those of the
-    encode_dataset, standardize and real_expansion chain."""
+    block; it must be the transpose of the encode_dataset and standardize
+    chain's matrix."""
 
     @given(block_tables())
     @example(colliding_labeled_dataset())
@@ -1180,16 +1170,14 @@ class TestConditionBlock:
         books = {}  # shared by the modes, as the experiment shares it by its conditions
         for mode in EncodeMode:
             try:
-                want = real_expansion(standardize(encode_dataset(ds, mode)).data)
+                want = standardize(encode_dataset(ds, mode)).data.T
             except DataError as exc:
                 with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
-                    cluster._layouts(ds, mode, books)
+                    coding._scaled_block(ds, mode, books)
                 continue
-            work, channels = cluster._layouts(ds, mode, books)
-            assert work.shape == want.shape and work.flags.c_contiguous
-            assert work.tobytes() == want.tobytes()
-            assert channels.shape == want.shape[::-1] and channels.flags.c_contiguous
-            assert channels.tobytes() == coding._transpose_into(np.empty(want.shape[::-1]), want).tobytes()
+            block = coding._scaled_block(ds, mode, books)
+            assert block.dtype == want.dtype and block.shape == want.shape and block.flags.c_contiguous
+            assert block.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_colliding_coded_column_names_refuse_the_experiment(self):
         with pytest.raises(DataError, match=r"^coded columns 1 and 2 are both named 'a=x'$"):

@@ -18,6 +18,7 @@ from complexrank import (
     coded_matrix_from_json_dict,
     coded_matrix_to_json,
     encode_dataset,
+    kmeans,
     run_experiment,
     standardize,
 )
@@ -99,6 +100,14 @@ def test_an_experiment_of_one_restart_per_batch_holds_two_arrays(wide, array_byt
     assert len(list(coding._spans(2, 8 * k * d * ROWS))) == 2
     peak = traced_peak(lambda: run_experiment(wide, [EncodeMode.ONEHOT], repeats=2))
     assert peak <= 2 * array_bytes + SLACK
+
+
+def test_kmeans_holds_one_array_beside_its_input(wide, array_bytes):
+    # the working matrix is a view of the caller's cells; the channel rows
+    # are one more n x c array, which the inertia step gathers into
+    matrix = standardize(encode_dataset(wide, EncodeMode.ONEHOT))
+    peak = traced_peak(lambda: kmeans(matrix, 3))
+    assert peak <= array_bytes + SLACK
 
 
 def test_the_reader_fills_the_array_the_matrix_keeps(wide, array_bytes):
