@@ -270,24 +270,22 @@ def _center(columns: np.ndarray) -> tuple[list[complex], list[float]]:
 
 
 def _scale(columns: np.ndarray, names: Sequence[str]) -> tuple[list[complex], list[float]]:
-    """Standardize the rows of a C-order complex (columns, cells) array in
-    place, each one coded column named by names: center it on its mean
-    (_center) and divide it by its scatter. Fewer than 2 cells, and the
-    first column whose scatter is zero or overflows, are refused. Returns
-    the means and the sigmas."""
+    """standardize's statistics and refusals over the rows of a C-order
+    complex (columns, cells) array, each one coded column named by names:
+    their means and sigmas, with each row centered in place (_center). Fewer
+    than 2 cells, and the first column whose scatter is zero or overflows,
+    are refused. Each caller divides by the sigmas in its own layout."""
     if columns.shape[1] < 2:
         raise DataError("standardization needs at least 2 rows")
     # an overflow only ever yields a non-finite sigma, which is refused
     with np.errstate(over="ignore", invalid="ignore"):
         means, sigmas = _center(columns)
-        for name, s in zip(names, sigmas):
-            # sigma is 0 for a constant column and for a subnormal spread alike
-            if s == 0.0:
-                raise DataError(f"column {name!r} has zero dispersion")
-            if not math.isfinite(s):
-                raise DataError(f"column {name!r} is too spread out: its scatter overflows")
-        # numpy divides by each sigma as the complex sigma + 0j
-        np.divide(columns, np.array(sigmas)[:, None], out=columns)
+    for name, s in zip(names, sigmas):
+        # sigma is 0 for a constant column and for a subnormal spread alike
+        if s == 0.0:
+            raise DataError(f"column {name!r} has zero dispersion")
+        if not math.isfinite(s):
+            raise DataError(f"column {name!r} is too spread out: its scatter overflows")
     return means, sigmas
 
 
@@ -424,14 +422,16 @@ def _scaled_block(dataset: Dataset, mode: EncodeMode | str, books: dict) -> np.n
     """The C-order (c, n) complex block standardize(encode_dataset(dataset,
     mode)).data.T, bit for bit and with their refusals, in one array: each
     coded column is written by encode_dataset's rules into its own
-    contiguous row, which standardize's rule (_scale) scales in place.
-    CodedMatrix's finiteness check is not repeated: a Dataset's numbers are
-    finite, and so is every codebook, ad hoc and one-hot value. books is as
-    for _coded_columns."""
+    contiguous row, which _scale centers in place and which is then divided
+    by its sigma there. CodedMatrix's finiteness check is not repeated: a
+    Dataset's numbers are finite, and so is every codebook, ad hoc and
+    one-hot value. books is as for _coded_columns."""
     columns, _, _, cells = _coded_columns(dataset, mode, books)
-    names = [c.name for c in columns]
     block = _fill(np.zeros((len(columns), dataset.n_rows), dtype=np.complex128), cells)
-    _scale(block, names)
+    _, sigmas = _scale(block, [c.name for c in columns])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy divides by each sigma as the complex sigma + 0j
+        np.divide(block, np.array(sigmas)[:, None], out=block)
     return block
 
 
@@ -468,22 +468,20 @@ def standardize(matrix: CodedMatrix) -> CodedMatrix:
     first such column is rejected by name. A matrix that already has a
     scaling raises ValueError: a second one would not describe its cells.
 
-    A block of columns at a time is copied into contiguous rows, scaled
-    there by _scale and copied back, so the output is the only n x c array
-    it allocates.
+    The means and sigmas come from a transposed copy of the cells made in
+    the output's own buffer, which the scaled cells then overwrite, so the
+    output is the only n x c array it allocates.
     """
     if matrix.scaling is not None:
         raise ValueError("the matrix is already standardized")
     (n, c), data = matrix.data.shape, matrix.data
     out = np.empty((n, c), dtype=np.complex128)
-    means, sigmas = [], []
-    # one span at least, so that a matrix of no columns is refused for its rows too
-    for s in _spans(max(c, 1), 16 * n):
-        block = _transpose_into(np.empty(data[:, s].shape[::-1], dtype=np.complex128), data[:, s])
-        mean, sigma = _scale(block, matrix.column_names[s])
-        _transpose_into(out[:, s], block)
-        means += mean
-        sigmas += sigma
+    means, sigmas = _scale(_transpose_into(out.reshape(c, n), data), matrix.column_names)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the cells in row order, a block of rows at a time, each by the same subtraction and division
+        for r in _spans(n, 16 * c):
+            np.subtract(data[r], means, out=out[r])
+            np.divide(out[r], sigmas, out=out[r])
     out.flags.writeable = False  # so the new matrix adopts it: the second n x c array, not a third
     return replace(matrix, data=out, scaling=tuple(map(ColumnScaling, matrix.column_names, means, sigmas)))
 

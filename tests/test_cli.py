@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode, load_cars, standardize
+from complexrank import coded_matrix_from_json_dict, encode_dataset, EncodeMode
 from complexrank.cli import build_parser, format_complex, main
 from complexrank.cluster import DEFAULT_CONDITIONS, ExperimentReport
 from complexrank.dataset import cars_csv_path, cars_schema_path
 
-from .oracles import broadcast_kmeans, reference_encode_json
+from .oracles import broadcast_kmeans, per_column_standardize, reference_encode_json
 
 CARS = str(cars_csv_path())
 SCHEMA = str(cars_schema_path())
@@ -360,16 +360,23 @@ class TestClusterCommand:
         assert doc["iterations"] == 3
         assert doc["accuracy"] == pytest.approx(0.8)
 
-    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**200])
-    def test_any_non_negative_seed_starts_as_numpy_would(self, capsys, seed):
+    @pytest.mark.parametrize("mode", list(EncodeMode))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**200])
+    def test_any_non_negative_seed_starts_as_numpy_would(self, capsys, cars, seed, mode):
+        # the one CLI path through standardize, against the per-column oracle
+        # rather than the library's own scaling
         code, out, _ = run(
-            capsys, ["cluster", "--input", CARS, "--schema", SCHEMA, "--seed", str(seed), "--json"]
+            capsys,
+            ["cluster", "--input", CARS, "--schema", SCHEMA, "--mode", mode.value, "--seed", str(seed), "--json"],
         )
         assert code == 0
         doc = json.loads(out)
-        matrix = standardize(encode_dataset(load_cars(), EncodeMode.COMBINED))
+        cells = per_column_standardize(encode_dataset(cars, mode))[0]
+        assignments, _, inertia, iterations = broadcast_kmeans(cells, 3, seed=seed)
         assert doc["seed"] == seed
-        assert doc["assignments"] == broadcast_kmeans(matrix.data, 3, seed=seed)[0].tolist()
+        assert doc["assignments"] == assignments.tolist()
+        assert doc["inertia"] == inertia
+        assert doc["iterations"] == iterations
 
     def test_text_output_lists_clusters_one_based(self, capsys):
         code, out, _ = run(

@@ -1163,19 +1163,27 @@ class TestConditionBlock:
     block; it must be the transpose of the encode_dataset and standardize
     chain's matrix."""
 
-    @given(block_tables())
-    @example(colliding_labeled_dataset())
-    @example(tiny_labeled_dataset())
-    def test_the_block_is_the_encode_and_standardize_chain(self, ds):
+    @given(block_tables(), st.one_of(st.none(), st.integers(100, 800)))
+    @example(colliding_labeled_dataset(), None)
+    @example(tiny_labeled_dataset(), None)
+    def test_the_block_is_the_encode_and_standardize_chain(self, ds, block_bytes):
+        # block_bytes: a block of a few hundred bytes (None: the default) for
+        # the block alone, so that its _center takes many blocks and the
+        # chain, at the default, shows the bytes do not rest on them
         books = {}  # shared by the modes, as the experiment shares it by its conditions
         for mode in EncodeMode:
             try:
                 want = standardize(encode_dataset(ds, mode)).data.T
             except DataError as exc:
-                with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
-                    coding._scaled_block(ds, mode, books)
-                continue
-            block = coding._scaled_block(ds, mode, books)
+                want = exc
+            with pytest.MonkeyPatch.context() as mp:
+                if block_bytes is not None:
+                    mp.setattr(coding, "_BLOCK_BYTES", block_bytes)
+                if isinstance(want, DataError):
+                    with pytest.raises(DataError, match=f"^{re.escape(str(want))}$"):
+                        coding._scaled_block(ds, mode, books)
+                    continue
+                block = coding._scaled_block(ds, mode, books)
             assert block.dtype == want.dtype and block.shape == want.shape and block.flags.c_contiguous
             assert block.tobytes() == np.ascontiguousarray(want).tobytes()
 

@@ -27,9 +27,9 @@ from complexrank.dataset import AttributeSchema, Column, Dataset, Role
 
 ROWS = 20_000
 CARDINALITIES = (8, 16, 40)
-# slack over the n x c arrays: standardize's two squares of at most 1 MiB
-# each and per-row scratch (the k-means distance scratch is smaller on
-# this table)
+# slack over the n x c arrays: the two squares of at most 1 MiB each that
+# _center makes for standardize and for the experiment's block, and per-row
+# scratch (the k-means distance scratch is smaller on this table)
 SLACK = 6 << 20
 
 
@@ -80,8 +80,8 @@ def test_encode_and_standardize_hold_two_arrays(wide, array_bytes):
 
 
 def test_standardize_holds_only_its_output(wide, array_bytes):
-    # standardize scales a block of columns at a time in a scratch of at
-    # most one block, not in a second array
+    # standardize takes its statistics from a transposed copy made in its
+    # output's own buffer, which the scaled cells then overwrite
     matrix = encode_dataset(wide, EncodeMode.ONEHOT)
     peak = traced_peak(lambda: standardize(matrix))
     assert peak <= array_bytes + SLACK

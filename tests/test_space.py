@@ -15,6 +15,7 @@ from complexrank import (
     real_expansion,
     standardize,
 )
+from complexrank import coding
 from .oracles import brute_force_inner, per_column_standardize, two_pass_standardize
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -313,16 +314,21 @@ class TestStandardize:
         with pytest.raises(ValueError, match="already standardized"):
             standardize(m)
 
-    @given(coded_blocks())
-    def test_property_matches_the_per_column_code_byte_for_byte(self, data):
+    @given(coded_blocks(), st.one_of(st.none(), st.integers(100, 800)))
+    def test_property_matches_the_per_column_code_byte_for_byte(self, data, block_bytes):
+        # block_bytes: a block of a few hundred bytes (None: the default), so
+        # that _center and the row pass each take many blocks
         m = _matrix_from_array(data)
-        try:
-            want, means, sigmas = per_column_standardize(m)
-        except DataError as exc:
-            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
-                standardize(m)
-            return
-        got = standardize(m)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(coding, "_BLOCK_BYTES", block_bytes)
+            try:
+                want, means, sigmas = per_column_standardize(m)
+            except DataError as exc:
+                with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                    standardize(m)
+                return
+            got = standardize(m)
         assert got.data.tobytes() == want.tobytes()
         assert np.array([s.mean for s in got.scaling]).tobytes() == np.array(means).tobytes()
         assert np.array([s.sigma for s in got.scaling]).tobytes() == np.array(sigmas).tobytes()
